@@ -165,14 +165,16 @@ func NewInstance(points [][]float64, funcs []utility.Func, opts Options) (*Insta
 	in.satD = make([]float64, N)
 	in.bestD = make([]int32, N)
 	// Preprocessing is embarrassingly parallel across users: each worker
-	// owns a contiguous user range, fills its cache rows, and indexes best
-	// points. Results are bit-identical at any parallelism level. Errors
-	// are reported per worker and merged in worker order so the same
-	// invalid utility is always the one surfaced.
+	// owns a contiguous user range, fills its rows through the shared
+	// utility kernel, and indexes best points. Results are bit-identical
+	// at any parallelism level. Errors are reported per worker and merged
+	// in worker order so the same invalid utility is always the one
+	// surfaced.
+	ps := kernel.NewPoints(points, nil)
 	workers := par.Workers(opts.Parallelism, N)
 	errs := make([]error, workers)
 	if err := in.pool.Shards(sched.ContextWithDefault(context.Background(), opts.Sched), workers, N, func(w, lo, hi int) {
-		errs[w] = in.preprocessUsers(lo, hi)
+		errs[w] = in.preprocessUsers(ps, lo, hi)
 	}); err != nil {
 		return nil, err
 	}
@@ -189,37 +191,33 @@ func NewInstance(points [][]float64, funcs []utility.Func, opts Options) (*Insta
 	return in, nil
 }
 
-// preprocessUsers fills cache rows and best-point indexes for users in
-// [lo, hi).
-func (in *Instance) preprocessUsers(lo, hi int) error {
-	n := len(in.Points)
+// preprocessUsers fills, validates and indexes the best point of each
+// user in [lo, hi) in one row pass. Without a materialized matrix the
+// row goes to a private one-row scratch in the same storage mode, so the
+// checked values are exactly those the recompute path serves.
+func (in *Instance) preprocessUsers(ps *kernel.Points, lo, hi int) error {
+	mat, scratch := in.mat, !in.cacheUsed
+	if scratch {
+		mat = kernel.New(1, len(in.Points), in.f32)
+	}
 	for u := lo; u < hi; u++ {
-		if in.cacheUsed {
-			f := in.Funcs[u]
-			for p := 0; p < n; p++ {
-				in.mat.Set(u, p, f.Value(p, in.Points[p]))
-			}
+		r := u
+		if scratch {
+			r = 0
 		}
-		best, bestIdx := 0.0, int32(-1)
-		for p := 0; p < n; p++ {
-			v := in.Utility(u, p)
+		mat.FillRow(r, in.Funcs[u], ps)
+		bad, bi := mat.ScanRow(r)
+		if bad >= 0 {
 			// Definition 1 requires utilities to be non-negative reals;
 			// reject functions that break it rather than silently
 			// corrupting every downstream comparison.
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return fmt.Errorf("core: utility function %d returned %v for point %d (must be a non-negative finite value)", u, v, p)
-			}
-			if bestIdx == -1 || v > best {
-				best, bestIdx = v, int32(p)
-			}
+			return fmt.Errorf("core: utility function %d returned %v for point %d (must be a non-negative finite value)", u, mat.At(r, bad), bad)
 		}
-		if best <= 0 {
-			in.satD[u] = 0
-			in.bestD[u] = -1
-			continue
+		if best := mat.At(r, bi); best > 0 {
+			in.satD[u], in.bestD[u] = best, int32(bi)
+		} else {
+			in.satD[u], in.bestD[u] = 0, -1
 		}
-		in.satD[u] = best
-		in.bestD[u] = bestIdx
 	}
 	return nil
 }

@@ -16,6 +16,12 @@
 // which is the ε-kernel guarantee of Agarwal–Kumar–Sintos–Suri that
 // greedy over a coreset preserves its approximation factor up to ε.
 //
+// Utilities come from the shared fill kernel (kernel.Points), the same
+// code that materializes core.Instance matrices: each user's row over
+// the candidates is one blocked, devirtualized pass for utility.Linear
+// and a per-point Value call for every other Func, bit-identical either
+// way.
+//
 // Determinism: survival marks are per-(user, candidate) pure predicates
 // OR-merged across users, so the surviving set — returned in ascending
 // original-index order — is identical at any worker count.
@@ -27,6 +33,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/regretlab/fam/internal/kernel"
 	"github.com/regretlab/fam/internal/par"
 	"github.com/regretlab/fam/internal/sched"
 	"github.com/regretlab/fam/internal/utility"
@@ -79,6 +86,7 @@ func Filter(ctx context.Context, points [][]float64, cand []int, funcs []utility
 	// Each worker owns a contiguous user range and a private mark array;
 	// marks are true-only, so the OR-merge across workers is idempotent
 	// and the survivor set is worker-count independent.
+	ps := kernel.NewPoints(points, cand)
 	workers := par.Workers(opts.Parallelism, N)
 	marks := make([][]bool, workers)
 	errs := make([]error, workers)
@@ -89,21 +97,13 @@ func Filter(ctx context.Context, points [][]float64, cand []int, funcs []utility
 			if ctx.Err() != nil {
 				return
 			}
-			f := funcs[u]
-			best := -1.0
-			for i, c := range cand {
-				v := f.Value(c, points[c])
-				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-					if errs[w] == nil {
-						errs[w] = fmt.Errorf("coreset: utility function %d returned %v for point %d (must be a non-negative finite value)", u, v, c)
-					}
-					return
-				}
-				vals[i] = v
-				if v > best {
-					best = v
-				}
+			kernel.Fill(ps, funcs[u], vals)
+			bad, bi := kernel.Scan(vals)
+			if bad >= 0 {
+				errs[w] = fmt.Errorf("coreset: utility function %d returned %v for point %d (must be a non-negative finite value)", u, vals[bad], cand[bad])
+				return
 			}
+			best := vals[bi]
 			if best <= 0 {
 				continue // degenerate user: no point satisfies them
 			}

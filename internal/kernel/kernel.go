@@ -1,6 +1,7 @@
-// Package kernel provides the dense utility-matrix storage and the
-// scan primitives shared by every solver's inner loop. A Matrix is the
-// N×n utility table in user-major layout — each user's row is one
+// Package kernel provides the dense utility-matrix storage, the fill
+// that computes every preprocessing utility (Points, in fill.go), and
+// the scan primitives shared by every solver's inner loop. A Matrix is
+// the N×n utility table in user-major layout — each user's row is one
 // contiguous block, so the per-candidate scans of GREEDY-SHRINK walk
 // memory linearly — with an opt-in float32 storage mode that halves the
 // resident bytes at the cost of ~7 decimal digits. A Transposed view is
@@ -59,15 +60,6 @@ func (m *Matrix) At(u, p int) float64 {
 		return float64(m.f32[u*m.points+p])
 	}
 	return m.f64[u*m.points+p]
-}
-
-// Set stores entry (u, p), rounding to float32 in float32 mode.
-func (m *Matrix) Set(u, p int, v float64) {
-	if m.f32 != nil {
-		m.f32[u*m.points+p] = float32(v)
-		return
-	}
-	m.f64[u*m.points+p] = v
 }
 
 // FootprintBytes returns the exact resident bytes of the backing array

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/regretlab/fam/internal/utility"
 )
 
 // refTwoMax is the historical per-element closure the kernel scans
@@ -37,18 +39,26 @@ func refMaxExcl(at func(u, p int) float64, u int, idx []int32, excl int32) (int3
 	return bi, bv
 }
 
+// fillTable stores the given values as row u, through the fill kernel's
+// index-keyed (utility.Table) path.
+func fillTable(m *Matrix, u int, vals []float64) {
+	m.FillRow(u, utility.Table{U: vals}, NewPoints(make([][]float64, m.Points()), nil))
+}
+
 func fillRandom(m *Matrix, seed int64, ties bool) {
 	rng := rand.New(rand.NewSource(seed))
 	for u := 0; u < m.Users(); u++ {
-		for p := 0; p < m.Points(); p++ {
+		row := make([]float64, m.Points())
+		for p := range row {
 			v := rng.Float64()
 			if ties && rng.Intn(4) == 0 {
 				// Quantize hard so duplicate values are common and the
 				// lowest-index tie-break is actually exercised.
 				v = math.Floor(v*4) / 4
 			}
-			m.Set(u, p, v)
+			row[p] = v
 		}
+		fillTable(m, u, row)
 	}
 }
 
@@ -122,7 +132,7 @@ func TestTransposeMatchesAt(t *testing.T) {
 func TestFloat32RoundTrip(t *testing.T) {
 	m := New(2, 2, true)
 	v := 0.1 // not representable exactly in float32
-	m.Set(0, 0, v)
+	fillTable(m, 0, []float64{v, 0})
 	want := float64(float32(v))
 	if got := m.At(0, 0); got != want {
 		t.Fatalf("float32 round-trip: got %v want %v", got, want)

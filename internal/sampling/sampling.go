@@ -15,6 +15,10 @@ import (
 // ErrBadParam is returned for error/confidence parameters outside (0, 1).
 var ErrBadParam = errors.New("sampling: parameters must lie in (0,1)")
 
+// ErrTooLarge is returned when Theorem 4's sample size does not fit in
+// an int.
+var ErrTooLarge = errors.New("sampling: sample size overflows int")
+
 // SampleSize returns the smallest N satisfying Theorem 4: with N sampled
 // utility functions the estimated average regret ratio deviates from the
 // exact value by less than eps with confidence at least 1-sigma.
@@ -22,8 +26,13 @@ func SampleSize(eps, sigma float64) (int, error) {
 	if eps <= 0 || eps >= 1 || sigma <= 0 || sigma >= 1 {
 		return 0, fmt.Errorf("%w: eps=%v sigma=%v", ErrBadParam, eps, sigma)
 	}
-	n := 3 * math.Log(1/sigma) / (eps * eps)
-	return int(math.Ceil(n)), nil
+	n := math.Ceil(3 * math.Log(1/sigma) / (eps * eps))
+	// float64(math.MaxInt) rounds up to 2^63 on 64-bit platforms, so
+	// anything that passes converts without overflow.
+	if !(n < float64(math.MaxInt)) {
+		return 0, fmt.Errorf("%w: eps=%v sigma=%v", ErrTooLarge, eps, sigma)
+	}
+	return int(n), nil
 }
 
 // Eps inverts SampleSize: the error bound achieved by N samples at

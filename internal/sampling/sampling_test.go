@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -146,5 +147,17 @@ func TestChernoffEmpiricalCoverage(t *testing.T) {
 	}
 	if bad > trials/10 {
 		t.Fatalf("deviation exceeded eps in %d/%d trials", bad, trials)
+	}
+}
+
+// TestSampleSizeOverflow: a bound too large for an int is an error, not
+// a wrapped negative count.
+func TestSampleSizeOverflow(t *testing.T) {
+	if _, err := SampleSize(1e-10, 0.1); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("SampleSize(1e-10, 0.1): err = %v, want ErrTooLarge", err)
+	}
+	n, err := SampleSize(1e-7, 0.1)
+	if err != nil || n <= 0 {
+		t.Fatalf("SampleSize(1e-7, 0.1) = %d, %v; want a positive count", n, err)
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // ErrBadOptions is returned when a Query (or legacy SelectOptions) is
 // invalid: K out of bounds, Epsilon or Sigma outside (0, 1), a negative
-// SampleSize, an unknown Algorithm, a distribution whose dimension does
-// not match the dataset, or ExactDiscrete with a non-discrete
-// distribution. Match it with errors.Is; the wrapped message names the
+// SampleSize or a resolved sample size above maxSampleSize, an unknown
+// Algorithm, a distribution whose dimension does not match the dataset,
+// or ExactDiscrete with a non-discrete distribution. Match it with errors.Is; the wrapped message names the
 // offending field. Bad requests fail here — before any sampling,
 // preprocessing, or cache traffic.
 var ErrBadOptions = errors.New("fam: bad options")
@@ -124,25 +124,35 @@ func deriveQuery(ds *Dataset, dist Distribution, q Query, needK bool) (normalize
 	return norm, nil
 }
 
+// maxSampleSize caps the resolved number of sampled utility functions,
+// so one request cannot exhaust a server: the sampled functions take
+// O(N·d) memory and every instance adds an N×candidates matrix. 1<<22
+// is ~6000× the default N=691 and admits ε down to ~1.3e-3 at σ=0.1.
+const maxSampleSize = 1 << 22
+
 // resolveSampleSize applies Theorem 4's bound to the sampling fields: an
 // explicit positive sampleSize wins, otherwise N = ceil(3·ln(1/σ)/ε²)
-// with both parameters defaulting to 0.1 (N = 691).
+// with both parameters defaulting to 0.1 (N = 691). Either way N may not
+// exceed maxSampleSize.
 func resolveSampleSize(eps, sigma float64, sampleSize int) (int, error) {
-	if sampleSize > 0 {
-		return sampleSize, nil
-	}
 	if sampleSize < 0 {
 		return 0, fmt.Errorf("%w: SampleSize must be non-negative, got %d", ErrBadOptions, sampleSize)
 	}
-	if eps == 0 {
-		eps = 0.1
+	n := sampleSize
+	if n == 0 {
+		if eps == 0 {
+			eps = 0.1
+		}
+		if sigma == 0 {
+			sigma = 0.1
+		}
+		var err error
+		if n, err = sampling.SampleSize(eps, sigma); err != nil {
+			return 0, fmt.Errorf("%w: %v", ErrBadOptions, err)
+		}
 	}
-	if sigma == 0 {
-		sigma = 0.1
-	}
-	n, err := sampling.SampleSize(eps, sigma)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadOptions, err)
+	if n > maxSampleSize {
+		return 0, fmt.Errorf("%w: sample size %d exceeds the limit of %d (raise Epsilon or Sigma, or lower SampleSize)", ErrBadOptions, n, maxSampleSize)
 	}
 	return n, nil
 }

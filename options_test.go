@@ -102,3 +102,53 @@ func TestSampleSizeDefaults(t *testing.T) {
 		t.Fatalf("SkyDom must bypass the skyline restriction (%v)", err)
 	}
 }
+
+// TestSampleSizeCap: a sample size that would exhaust memory — from a
+// tiny Epsilon, from an Epsilon so small that Theorem 4's bound overflows
+// int, or given directly — is a bad option, not a crash or a 500.
+// Without the cap the Engine case panics in a detached fill goroutine
+// and takes the whole test process down with it.
+func TestSampleSizeCap(t *testing.T) {
+	ctx := context.Background()
+	ds, dist := hotelSetup(t)
+	engine := NewEngine(EngineConfig{})
+	t.Cleanup(engine.Close)
+	if err := engine.Register("hotels", ds, dist); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		q    Query
+	}{
+		{"epsilon 1e-7", Query{K: 3, Epsilon: 1e-7}},
+		{"epsilon 1e-10 overflows int", Query{K: 3, Epsilon: 1e-10}},
+		{"epsilon 1.2e-3, N just over the cap", Query{K: 3, Epsilon: 1.2e-3}},
+		{"explicit sample size", Query{K: 3, SampleSize: maxSampleSize + 1}},
+	}
+	for _, tc := range cases {
+		oneShot := tc.q
+		oneShot.Data, oneShot.Dist = ds, dist
+		if _, _, err := Select(ctx, oneShot, Exec{}); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("Select %s: err = %v, want ErrBadOptions", tc.name, err)
+		}
+		if _, err := Evaluate(ctx, oneShot, Exec{}); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("Evaluate %s: err = %v, want ErrBadOptions", tc.name, err)
+		}
+		q := tc.q
+		q.Dataset = "hotels"
+		if _, _, err := engine.Select(ctx, q, Exec{}); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("Engine.Select %s: err = %v, want ErrBadOptions", tc.name, err)
+		}
+		if _, err := q.Fingerprint(); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("Fingerprint %s: err = %v, want ErrBadOptions", tc.name, err)
+		}
+	}
+	// The cap itself is allowed: resolution accepts it without drawing.
+	if n, err := resolveSampleSize(0, 0, maxSampleSize); err != nil || n != maxSampleSize {
+		t.Fatalf("resolveSampleSize at the cap = %d, %v", n, err)
+	}
+	// The engine still answers after the rejected requests.
+	if _, _, err := engine.Select(ctx, Query{Dataset: "hotels", K: 3, SampleSize: 50}, Exec{}); err != nil {
+		t.Fatalf("Engine.Select after rejections: %v", err)
+	}
+}

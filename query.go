@@ -38,6 +38,7 @@ type Query struct {
 	// Epsilon and Sigma set the Monte-Carlo error and confidence of
 	// Theorem 4; the sample size is then N = ceil(3·ln(1/σ)/ε²). Both
 	// default to 0.1 (N = 691). SampleSize overrides them when positive.
+	// A resolved N above 1<<22 is rejected with ErrBadOptions.
 	Epsilon float64
 	Sigma   float64
 	// SampleSize fixes the number of sampled utility functions directly.

@@ -413,3 +413,41 @@ func TestServeUpload(t *testing.T) {
 		t.Fatalf("upload counters: %+v %+v", stats.HTTP, stats.Engine)
 	}
 }
+
+// TestServeSampleSizeCap: a request whose resolved sample size exceeds
+// the library's cap is a client error on both API versions — whether an
+// Epsilon of 1e-7 asks for ~7e14 functions, an Epsilon of 1e-10
+// overflows Theorem 4's bound, or sample_size names it directly — and
+// the server keeps answering afterwards.
+func TestServeSampleSizeCap(t *testing.T) {
+	srv, _ := newTestServer(t)
+	bad := []QueryRequest{
+		{Dataset: "hotels", K: 3, Epsilon: 1e-7},
+		{Dataset: "hotels", K: 3, Epsilon: 1e-10},
+		{Dataset: "hotels", K: 3, SampleSize: 1<<22 + 1},
+	}
+	for _, q := range bad {
+		var errResp ErrorResponse
+		v1 := SelectRequest{Dataset: q.Dataset, K: q.K, Epsilon: q.Epsilon, SampleSize: q.SampleSize}
+		if code := postJSON(t, srv.URL+"/v1/select", v1, &errResp); code != http.StatusBadRequest {
+			t.Fatalf("v1 %+v: status %d, want 400 (%s)", q, code, errResp.Error)
+		}
+		ev := EvaluateRequest{Dataset: q.Dataset, Set: []int{0, 1}, Epsilon: q.Epsilon, SampleSize: q.SampleSize}
+		if code := postJSON(t, srv.URL+"/v1/evaluate", ev, &errResp); code != http.StatusBadRequest {
+			t.Fatalf("v1 evaluate %+v: status %d, want 400 (%s)", q, code, errResp.Error)
+		}
+	}
+	var batch BatchSelectResponse
+	if code := postJSON(t, srv.URL+"/v2/select", BatchSelectRequest{Queries: bad}, &batch); code != http.StatusOK {
+		t.Fatalf("v2 batch: status %d", code)
+	}
+	for i, r := range batch.Results {
+		if r.Status != http.StatusBadRequest || r.Code != CodeBadRequest {
+			t.Fatalf("v2 member %d = %+v, want 400 bad_request", i, r)
+		}
+	}
+	var ok SelectResponse
+	if code := postJSON(t, srv.URL+"/v1/select", SelectRequest{Dataset: "hotels", K: 3, SampleSize: 50}, &ok); code != http.StatusOK {
+		t.Fatalf("select after rejections: status %d", code)
+	}
+}
