@@ -4,16 +4,30 @@
 // point is a skyline point), and the SKY-DOM baseline operates directly on
 // skyline points and their dominance sets.
 //
-// Two algorithms are provided: a block-nested-loop scan (the reference
-// implementation, quadratic) and a sort-first filter (sort by descending
-// attribute sum before the scan), which is the classic SFS optimization —
-// after sorting, a point can only be dominated by points earlier in the
-// order, so the inner loop shrinks drastically on correlated data.
+// Two algorithms are provided: a block-nested-loop scan (ComputeBNL, the
+// quadratic reference implementation) and a sort-filter-skyline scan
+// (Compute, ComputeOpts). SFS sorts the points so that every dominator
+// precedes the points it dominates, then keeps a point iff no point of
+// the window — the skyline found so far — dominates it:
+//
+//   - Keyed sort: (sum, index) pairs ordered by descending attribute sum,
+//     then by descending attributes compared lexicographically, then by
+//     ascending index. A dominator's float sum is never smaller than its
+//     victim's but may equal it (rounding, or overflow to +Inf); the
+//     lexicographic key keeps it first even then.
+//   - Flat window: the window's rows are stored contiguously, d values per
+//     row, so testing a point against it is a linear walk.
+//   - Mask buckets: the window is split into 2^min(d, 6) buckets by the
+//     mask of attributes j < 6 on which a row reaches the per-attribute
+//     mean. A dominator's mask is a superset of its victim's, so a point
+//     scans only the buckets whose mask contains its own.
 package skyline
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/regretlab/fam/internal/bitset"
@@ -50,47 +64,88 @@ type ComputeOptions struct {
 // tests prune against a fuller skyline.
 const computeBlock = 512
 
+// maskBits caps the attributes that choose a window bucket, so the window
+// has at most 2^maskBits buckets.
+const maskBits = 6
+
+// sortKey is one point's position key in the scan order.
+type sortKey struct {
+	sum float64
+	idx int
+}
+
 // ComputeOpts is Compute with the SFS window scan parallelized — the
 // preprocessing bottleneck on large anticorrelated datasets, where the
 // skyline (and therefore the window every point is tested against) is
-// huge. The sorted order is processed in blocks: each block's points are
-// tested against the current window concurrently (sharded across the
-// workers with contiguous blocks), then the survivors are resolved
-// against each other serially in sorted order and appended. Dominance is
-// a pure transitive predicate and survivors are appended in the same
-// order the serial scan would, so the result is bit-identical to Compute
-// at any worker count. A nil context is treated as background.
+// huge. It uses the keyed sort, flat window and mask buckets described in
+// the package comment. The lexicographic tie-break is what keeps the sort
+// dominance-safe: float addition rounds monotonically, so a dominator's
+// sum is never below its victim's, but rounding or overflow to +Inf can
+// make the two equal.
+//
+// The sorted order is processed in blocks: each block's points are tested
+// against the window as it stood at the block start (bucket lengths
+// snapshotted) concurrently, sharded across the workers with contiguous
+// blocks; then the survivors are resolved against each other serially in
+// sorted order and appended. Dominance is a pure transitive predicate, so
+// the result — a set, returned in increasing index order — is identical
+// to ComputeBNL at any worker count. A nil context is treated as
+// background.
 func ComputeOpts(ctx context.Context, points [][]float64, opts ComputeOptions) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ctx = sched.ContextWithDefault(ctx, opts.Sched)
-	if _, err := point.Validate(points); err != nil {
+	d, err := point.Validate(points)
+	if err != nil {
 		return nil, err
 	}
 	n := len(points)
-	order := make([]int, n)
-	sums := make([]float64, n)
+	keys := make([]sortKey, n)
+	piv := make([]float64, d)
 	for i, p := range points {
-		order[i] = i
 		var s float64
-		for _, v := range p {
+		for j, v := range p {
 			s += v
+			piv[j] += v
 		}
-		sums[i] = s
+		keys[i] = sortKey{s, i}
 	}
-	// Descending attribute sum: a dominating point always has a strictly
-	// larger sum, so dominators precede dominated points in this order.
-	sort.SliceStable(order, func(a, b int) bool { return sums[order[a]] > sums[order[b]] })
-
-	var window []int // indices into points, all mutually non-dominated
-	survives := make([]bool, computeBlock)
-	for start := 0; start < n; start += computeBlock {
-		end := start + computeBlock
-		if end > n {
-			end = n
+	// Any pivot keeps the bucket argument sound; an overflowed mean only
+	// leaves its bit unset everywhere.
+	for j := range piv {
+		piv[j] /= float64(n)
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.sum != b.sum {
+			if a.sum > b.sum {
+				return -1
+			}
+			return 1
 		}
-		block := order[start:end]
+		pa, pb := points[a.idx], points[b.idx]
+		for j, v := range pa {
+			if v != pb[j] {
+				if v > pb[j] {
+					return -1
+				}
+				return 1
+			}
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+
+	nb := 1 << min(d, maskBits)
+	buckets := make([][]float64, nb) // bucket m: flat rows of window points with mask m
+	frozen := make([]int, nb)        // bucket lengths at the start of the current block
+	var window []int                 // indices into points, all mutually non-dominated
+	survives := make([]bool, computeBlock)
+	masks := make([]int, computeBlock)
+	for start := 0; start < n; start += computeBlock {
+		block := keys[start:min(start+computeBlock, n)]
+		for m, b := range buckets {
+			frozen[m] = len(b)
+		}
 		// Parallel phase: test each block member against the frozen
 		// window. Per-item work is one dominance scan — cheap — so small
 		// blocks shed workers (par.Bounded).
@@ -100,12 +155,12 @@ func ComputeOpts(ctx context.Context, points [][]float64, opts ComputeOptions) (
 				if ctx.Err() != nil {
 					return
 				}
+				q := points[block[i].idx]
+				mq := pivotMask(q, piv)
+				masks[i] = mq
 				dominated := false
-				for _, wi := range window {
-					if point.Dominates(points[wi], points[block[i]]) {
-						dominated = true
-						break
-					}
+				for m := mq; m < nb && !dominated; m = (m + 1) | mq {
+					dominated = dominatedByRows(buckets[m][:frozen[m]], q)
 				}
 				survives[i] = !dominated
 			}
@@ -117,25 +172,48 @@ func ComputeOpts(ctx context.Context, points [][]float64, opts ComputeOptions) (
 		// need checking — if the dominator was itself dominated, then by
 		// transitivity a window point dominates this one too, and the
 		// parallel phase already caught it.
-		windowLen := len(window)
-		for i, idx := range block {
+		for i, k := range block {
 			if !survives[i] {
 				continue
 			}
+			q := points[k.idx]
+			mq := masks[i]
 			dominated := false
-			for _, wi := range window[windowLen:] {
-				if point.Dominates(points[wi], points[idx]) {
-					dominated = true
-					break
-				}
+			for m := mq; m < nb && !dominated; m = (m + 1) | mq {
+				dominated = dominatedByRows(buckets[m][frozen[m]:], q)
 			}
 			if !dominated {
-				window = append(window, idx)
+				buckets[mq] = append(buckets[mq], q...)
+				window = append(window, k.idx)
 			}
 		}
 	}
 	sort.Ints(window)
 	return window, nil
+}
+
+// pivotMask returns the bucket of q: bit j is set, for j < maskBits, when
+// q[j] reaches the pivot.
+func pivotMask(q, piv []float64) int {
+	m := 0
+	for j := 0; j < len(q) && j < maskBits; j++ {
+		if q[j] >= piv[j] {
+			m |= 1 << j
+		}
+	}
+	return m
+}
+
+// dominatedByRows reports whether some row of rows — flat, len(q) values
+// per row — dominates q.
+func dominatedByRows(rows, q []float64) bool {
+	d := len(q)
+	for off := 0; off < len(rows); off += d {
+		if point.Dominates(rows[off:off+d:off+d], q) {
+			return true
+		}
+	}
+	return false
 }
 
 // ComputeBNL returns the skyline via the block-nested-loop reference
