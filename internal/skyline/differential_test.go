@@ -53,10 +53,12 @@ func TestComputeOptsSumTiesMatchBNL(t *testing.T) {
 	}
 }
 
-// TestComputeOptsMatchesBNLDifferential compares the bucketed window scan
-// with the reference scan across the shapes that exercise it: every d up
-// to past the mask cap, several parallel blocks, heavy ties and
-// duplicates, extreme magnitudes, and points sitting exactly on the pivot.
+// TestComputeOptsMatchesBNLDifferential compares the prefiltered, bucketed
+// window scan with the reference scan across the shapes that exercise it:
+// every d up to past the mask cap (the grid side runs from 1061 at d=1
+// down to 2 at d≥7), several parallel blocks, heavy ties and duplicates,
+// extreme magnitudes, grid widths that are not finite and positive, and
+// points sitting exactly on the pivot or on cell boundaries.
 func TestComputeOptsMatchesBNLDifferential(t *testing.T) {
 	pool := par.NewPool(4)
 	defer pool.Close()
@@ -73,6 +75,18 @@ func TestComputeOptsMatchesBNLDifferential(t *testing.T) {
 		// Sums of two or more attributes can overflow to +Inf and tie.
 		{"overflow", func(j int) float64 { return float64(7+g.IntN(4)) * 1e307 }},
 		{"duplicates", func(j int) float64 { return float64(j) }},
+		// The grid prefilter's float edges: a subnormal width whose scale
+		// overflows to +Inf, a width hi−lo that overflows to +Inf, a flat
+		// attribute, and values on cell boundaries.
+		{"subnormal", func(j int) float64 { return float64(g.IntN(2)) * 5e-324 }},
+		{"span", func(j int) float64 { return (2*g.Float64() - 1) * 1.7e308 }},
+		{"flat-attr", func(j int) float64 {
+			if j == 0 {
+				return 0.5
+			}
+			return g.Float64()
+		}},
+		{"cell-edge", func(j int) float64 { return float64(g.IntN(65)) / 64 }},
 	}
 	for d := 1; d <= 9; d++ {
 		for _, gen := range gens {

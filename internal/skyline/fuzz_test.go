@@ -45,14 +45,25 @@ func fuzzBytes(pts [][]float64) []byte {
 	return out
 }
 
-// FuzzComputeOpts requires the bucketed SFS scan to return exactly the
-// block-nested-loop skyline on every small finite point set.
+// FuzzComputeOpts requires the prefiltered, bucketed SFS scan to return
+// exactly the block-nested-loop skyline on every small finite point set.
 func FuzzComputeOpts(f *testing.F) {
 	for _, pts := range sumTieCases {
 		f.Add(fuzzBytes(pts))
 	}
 	f.Add(fuzzBytes([][]float64{{1, 1}, {1, 1}, {0, 0}}))
 	f.Add(fuzzBytes([][]float64{{-1, 2, 0}, {2, -1, 0}, {0.5, 0.5, 0}, {0.5, 0.5, 0}}))
+	// Grid widths that are not finite and positive: a subnormal width
+	// (its scale overflows to +Inf) and a width hi−lo that overflows, at
+	// d=1 and on the corners of a d=3 cube.
+	for _, span := range [][2]float64{{0, 5e-324}, {-1.7e308, 1.7e308}} {
+		f.Add(fuzzBytes([][]float64{{span[0]}, {span[1]}, {span[0]}}))
+		var cube [][]float64
+		for c := range 8 {
+			cube = append(cube, []float64{span[c&1], span[c>>1&1], span[c>>2&1]})
+		}
+		f.Add(fuzzBytes(cube))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pts := fuzzPoints(data)
 		if len(pts) == 0 {

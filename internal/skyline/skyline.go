@@ -10,6 +10,17 @@
 // precedes the points it dominates, then keeps a point iff no point of
 // the window — the skyline found so far — dominates it:
 //
+//   - Grid prefilter: before the sort, points are bucketed into an L^d grid
+//     (L the largest integer ≥ 2 with L^d ≤ n, each attribute's [lo, hi]
+//     cut into L cells) and a point is dropped when some occupied cell is
+//     strictly above its own on every axis, found by a suffix-OR over the
+//     grid in O(n·d). The cell map x ↦ int((x−lo)·L/(hi−lo)) is monotone
+//     non-decreasing under IEEE rounding, so a strictly higher cell means
+//     a strictly larger value: the dropped point is dominated, and
+//     removing a non-skyline point never changes the skyline. The filter
+//     is skipped when L < 2 or when some attribute's width or scale is not
+//     finite and positive (a flat attribute, an overflowing hi−lo, or a
+//     subnormal width whose scale overflows).
 //   - Keyed sort: (sum, index) pairs ordered by descending attribute sum,
 //     then by descending attributes compared lexicographically, then by
 //     ascending index. A dominator's float sum is never smaller than its
@@ -27,6 +38,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -77,11 +89,14 @@ type sortKey struct {
 // ComputeOpts is Compute with the SFS window scan parallelized — the
 // preprocessing bottleneck on large anticorrelated datasets, where the
 // skyline (and therefore the window every point is tested against) is
-// huge. It uses the keyed sort, flat window and mask buckets described in
-// the package comment. The lexicographic tie-break is what keeps the sort
-// dominance-safe: float addition rounds monotonically, so a dominator's
-// sum is never below its victim's, but rounding or overflow to +Inf can
-// make the two equal.
+// huge. It uses the grid prefilter, keyed sort, flat window and mask
+// buckets described in the package comment. The prefilter runs serially
+// after validation and drops provably dominated points, so everything
+// after it — sort, pivot, window and blocks — works on the survivors
+// only; they keep their original indices. The lexicographic tie-break is
+// what keeps the sort dominance-safe: float addition rounds
+// monotonically, so a dominator's sum is never below its victim's, but
+// rounding or overflow to +Inf can make the two equal.
 //
 // The sorted order is processed in blocks: each block's points are tested
 // against the window as it stood at the block start (bucket lengths
@@ -100,16 +115,17 @@ func ComputeOpts(ctx context.Context, points [][]float64, opts ComputeOptions) (
 	if err != nil {
 		return nil, err
 	}
-	n := len(points)
+	keep := gridSurvivors(points, d)
+	n := len(keep)
 	keys := make([]sortKey, n)
 	piv := make([]float64, d)
-	for i, p := range points {
+	for i, idx := range keep {
 		var s float64
-		for j, v := range p {
+		for j, v := range points[idx] {
 			s += v
 			piv[j] += v
 		}
-		keys[i] = sortKey{s, i}
+		keys[i] = sortKey{s, idx}
 	}
 	// Any pivot keeps the bucket argument sound; an overflowed mean only
 	// leaves its bit unset everywhere.
@@ -190,6 +206,112 @@ func ComputeOpts(ctx context.Context, points [][]float64, opts ComputeOptions) (
 	}
 	sort.Ints(window)
 	return window, nil
+}
+
+// gridSurvivors returns, in increasing order, the indices of the points
+// that the grid prefilter cannot prove dominated (see the package
+// comment); every index when the grid does not apply. It runs in O(n·d).
+func gridSurvivors(points [][]float64, d int) []int {
+	all := func() []int {
+		keep := make([]int, len(points))
+		for i := range keep {
+			keep[i] = i
+		}
+		return keep
+	}
+	n := len(points)
+	side, cells := gridSide(min(n, math.MaxInt32), d) // cell ids fit int32
+	if side < 2 {
+		return all()
+	}
+	lo := slices.Clone(points[0])
+	hi := slices.Clone(points[0])
+	for _, p := range points[1:] {
+		for j, v := range p {
+			lo[j] = min(lo[j], v)
+			hi[j] = max(hi[j], v)
+		}
+	}
+	// A flat attribute leaves no cell strictly above another on it, and a
+	// width that overflows, or a scale that does (subnormal widths), would
+	// feed NaN to the cell map.
+	finitePositive := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+	scale := make([]float64, d)
+	for j := range scale {
+		w := hi[j] - lo[j]
+		scale[j] = float64(side) / w
+		if !finitePositive(w) || !finitePositive(scale[j]) {
+			return all()
+		}
+	}
+
+	// up[i] is the cell one step above point i's on every axis, or -1 when
+	// point i lies on the top face, where nothing can be above it.
+	occ := make([]bool, cells)
+	up := make([]int32, n)
+	diag := (cells - 1) / (side - 1) // Σ side^j over j < d
+	for i, p := range points {
+		c, stride, top := 0, 1, false
+		for j, v := range p {
+			// v ≥ lo and 0 < scale < ∞, so the product is finite, ≥ 0
+			// and at most a rounding above side.
+			x := int((v - lo[j]) * scale[j])
+			if x >= side-1 {
+				x, top = side-1, true
+			}
+			c += x * stride
+			stride *= side
+		}
+		occ[c] = true
+		up[i] = -1
+		if !top {
+			up[i] = int32(c + diag)
+		}
+	}
+	// Suffix-OR along each axis, high cells first: afterwards occ[c] says
+	// some point's cell is ≥ c on every coordinate.
+	for stride := 1; stride < cells; stride *= side {
+		for base := 0; base < cells; base += stride * side {
+			for k := base + (side-1)*stride - 1; k >= base; k-- {
+				if occ[k+stride] {
+					occ[k] = true
+				}
+			}
+		}
+	}
+	keep := make([]int, 0, n)
+	for i, u := range up {
+		if u < 0 || !occ[u] {
+			keep = append(keep, i)
+		}
+	}
+	return keep
+}
+
+// gridSide returns the largest side L ≥ 2 with L^d ≤ limit, and L^d; a
+// side of 0 when even 2^d exceeds limit.
+func gridSide(limit, d int) (side, cells int) {
+	pow := func(l int) int { // l^d, or limit+1 once it exceeds limit
+		c := 1
+		for range d {
+			if c > limit/l {
+				return limit + 1
+			}
+			c *= l
+		}
+		return c
+	}
+	side = int(math.Pow(float64(limit), 1/float64(d)))
+	for side > 1 && pow(side) > limit {
+		side--
+	}
+	for pow(side+1) <= limit {
+		side++
+	}
+	if side < 2 {
+		return 0, 0
+	}
+	return side, pow(side)
 }
 
 // pivotMask returns the bucket of q: bit j is set, for j < maskBits, when
