@@ -38,18 +38,19 @@ type BatchResult struct {
 //     decision, not a race: it holds at any timing, unlike singleflight
 //     coalescing. EngineStats.PlannedDedups counts the copies.
 //  2. The remaining members are grouped by instance key — the (dataset,
-//     skyline-eligibility, seed, sample size, exactness, cache budget)
-//     tuple that determines which preprocessing artifacts they share.
+//     skyline-eligibility, seed, sample size, exactness, cache budget,
+//     coreset eps, float32) tuple that determines which preprocessing
+//     artifacts they share; the last two join only when set.
 //     EngineStats.PlanGroups counts the groups.
 //  3. Each group runs its representative first, filling the shared
-//     preprocessing (skyline index, sampled functions, built instance),
-//     then releases the rest of the group concurrently onto the warm
-//     cache. Groups run concurrently with each other, bounded by
-//     Exec.Parallelism when set. Grouping is a planning heuristic, not
-//     a guarantee: a member whose K reaches the skyline size falls back
-//     to the full-candidate instance at execution time, so such mixed
-//     groups may still coalesce a second instance build on the
-//     singleflight path — correct either way, just less planned.
+//     preprocessing (skyline index, sampled functions, coreset index,
+//     built instance), then releases the rest of the group concurrently
+//     onto the warm cache. Groups run concurrently with each other,
+//     bounded by Exec.Parallelism when set. Grouping is a planning
+//     heuristic, not a guarantee: a member whose K reaches the skyline
+//     size falls back to the full-candidate instance at execution time,
+//     so such mixed groups may still coalesce a second instance build on
+//     the singleflight path — correct either way, just less planned.
 //
 // Every member gets its own answer slot: one bad member yields an Err in
 // its slot while the rest of the batch completes. The returned slice
@@ -242,8 +243,10 @@ func (e *Engine) planKey(q Query, i int) string {
 
 // InstanceKey returns the preprocessing-sharing identity of q: the
 // (dataset, skyline-eligibility, seed, sample size, exactness, cache
-// budget) tuple that determines which cached preprocessing artifacts —
-// skyline index, sampled functions, built instance — the query reuses.
+// budget) tuple, plus cs=<eps> for Coreset queries and f32 for Float32
+// ones, that determines which cached preprocessing artifacts — skyline
+// index, sampled functions, coreset index, built instance — the query
+// reuses.
 // It is the batch planner's grouping key, and the key the serve layer
 // echoes as X-Fam-Instance-Key so a cluster router can learn which
 // replica's prep cache is warm for which queries. Equal Fingerprints
@@ -259,18 +262,7 @@ func (e *Engine) InstanceKey(q Query) string {
 	if err != nil {
 		return ""
 	}
-	key := fmt.Sprintf("%s|sky=%t|seed=%d|N=%d|exact=%t|budget=%d",
-		reg.name, norm.useSkyline, q.Seed, norm.sampleSize, norm.discrete != nil,
-		effectiveBudget(q.CacheBudget))
-	// Like the Fingerprint, opt-in knobs that change which instance is
-	// built append conditionally so established keys stay byte-stable.
-	if norm.useCoreset {
-		key += fmt.Sprintf("|cs=%g", norm.coresetEps)
-	}
-	if q.Float32 {
-		key += "|f32"
-	}
-	return key
+	return prepKey("", reg.name, fmt.Sprintf("sky=%t", norm.useSkyline), q, norm)
 }
 
 // copySlot answers a planned duplicate from its leader's slot. A
@@ -326,6 +318,7 @@ func (e *Engine) member(ctx context.Context, q Query, exec Exec) BatchResult {
 		Metrics:     m,
 		ExactARR:    -1,
 		SkylineSize: reg.ds.N(), // evaluation preprocessing never restricts
+		CoresetSize: -1,         // nor runs the coreset prepass
 	}
 	res.Labels = make([]string, len(res.Indices))
 	for i, idx := range res.Indices {

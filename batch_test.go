@@ -86,6 +86,7 @@ func TestEngineSelectBatchMatchesLoop(t *testing.T) {
 		{Dataset: "hotels", K: 4, Seed: 9, SampleSize: 120, Algorithm: KHit},
 		{Dataset: "grid2d", K: 3, Seed: 9, SampleSize: 120, Algorithm: DP2D},
 		{Dataset: "tiny", Seed: 9, SampleSize: 120, ExplicitSet: []int{0, 3, 5}},
+		{Dataset: "hotels", ExplicitSet: []int{0, 1}},
 		{Dataset: "nope", K: 3},
 		{Dataset: "hotels", K: 0},
 	}
@@ -131,6 +132,10 @@ func TestEngineSelectBatchMatchesLoop(t *testing.T) {
 			if queries[i].ExplicitSet != nil {
 				if slot.Result.Metrics.ARR != wantRes[i].Metrics.ARR {
 					t.Fatalf("%s: eval ARR %v, want %v", label, slot.Result.Metrics.ARR, wantRes[i].Metrics.ARR)
+				}
+				// Evaluation never runs the coreset prepass: −1, not 0.
+				if slot.Result.CoresetSize != -1 {
+					t.Fatalf("%s: eval CoresetSize %d, want -1", label, slot.Result.CoresetSize)
 				}
 				continue
 			}

@@ -182,4 +182,3 @@ func pprofHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
-

@@ -11,12 +11,10 @@ import (
 	"time"
 
 	"github.com/regretlab/fam/internal/core"
-	"github.com/regretlab/fam/internal/coreset"
 	ecache "github.com/regretlab/fam/internal/engine"
 	"github.com/regretlab/fam/internal/obs"
 	"github.com/regretlab/fam/internal/par"
 	"github.com/regretlab/fam/internal/sched"
-	"github.com/regretlab/fam/internal/skyline"
 	"github.com/regretlab/fam/internal/utility"
 )
 
@@ -24,10 +22,10 @@ import (
 // process-wide worker pool multiplexed across all concurrent queries, a
 // registry of named datasets, a preprocessing cache that builds each
 // expensive per-dataset artifact exactly once (the skyline index, the
-// sampled utility functions, and the materialized utility matrix — each
-// under singleflight deduplication, so a thundering herd of identical
-// cold queries triggers one build), and a bounded result cache for whole
-// query answers.
+// sampled utility functions, the ε-kernel coreset index of Coreset
+// queries, and the materialized utility matrix — each under singleflight
+// deduplication, so a thundering herd of identical cold queries triggers
+// one build), and a bounded result cache for whole query answers.
 //
 // Engine queries are (Query, Exec) pairs: the Query names a registered
 // dataset and fixes the semantic problem, the Exec sets execution policy
@@ -37,7 +35,8 @@ import (
 //
 // Determinism: an Engine-served Result is bit-identical to a fresh
 // one-shot Select with the same Query at any concurrency — same Indices,
-// Labels, Metrics, ExactARR, and SkylineSize. Only the Telemetry differs
+// Labels, Metrics, ExactARR, SkylineSize, and CoresetSize: both run the
+// one preprocessing pipeline (prepare). Only the Telemetry differs
 // (cached work is not re-done; a result-cache hit reports its own near-
 // zero execution and carries the filling execution's Telemetry under
 // Telemetry.Replay) and Result.Cached marks answers served from the
@@ -86,9 +85,9 @@ type EngineConfig struct {
 	// the helper goroutines of the whole process.
 	Workers int
 	// PrepCacheSize bounds the preprocessing cache in entries — each
-	// entry is one skyline index, one sampled function set, or one built
-	// instance (the utility matrix dominates). 0 = default (256),
-	// negative = unbounded.
+	// entry is one skyline index, one sampled function set, one coreset
+	// index, or one built instance (the utility matrix dominates).
+	// 0 = default (256), negative = unbounded.
 	PrepCacheSize int
 	// ResultCacheSize bounds the result cache in entries. 0 = default
 	// (1024), negative = unbounded.
@@ -320,7 +319,7 @@ func (e *Engine) Select(ctx context.Context, q Query, exec Exec) (*Result, *Tele
 		fillCtx, fill := obs.Start(fillCtx, "fill.result")
 		defer fill.End()
 		prepStart := time.Now()
-		prep, err := e.prepare(fillCtx, reg, q, norm, exec)
+		prep, err := prepare(fillCtx, e, reg.ds, reg.dist, q, norm, exec)
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +420,7 @@ func (e *Engine) evaluate(ctx context.Context, q Query, exec Exec) (Metrics, *re
 	defer cancel()
 	e.evaluates.Add(1)
 	prepStart := time.Now()
-	prep, err := e.prepare(ctx, reg, q, norm, exec)
+	prep, err := prepare(ctx, e, reg.ds, reg.dist, q, norm, exec)
 	if err != nil {
 		return Metrics{}, nil, nil, err
 	}
@@ -440,109 +439,44 @@ func (e *Engine) evaluate(ctx context.Context, q Query, exec Exec) (Metrics, *re
 	return m, reg, tel, nil
 }
 
-// prepare assembles the prepared state for one query from the
-// preprocessing cache, filling missing artifacts exactly once each:
-//
-//	sky|<dataset>                      the skyline index
-//	funcs|<dataset>|<seed>|<N>         the sampled utility functions
-//	coreset|<dataset>|<class>|…        the ε-kernel survivor index
-//	                                   (Coreset queries only)
-//	inst|<dataset>|<class>|…           the built instance (utility
-//	                                   matrix + best-point index)
-//
-// The returned prepared carries a zero-copy clone of the cached instance
-// with this query's Exec and the shared pool.
-func (e *Engine) prepare(ctx context.Context, reg *registration, q Query, norm normalized, exec Exec) (*prepared, error) {
-	ctx, span := obs.Start(ctx, "prepare")
-	defer span.End()
-	candidates, class, err := e.candidates(ctx, reg, q, norm)
-	if err != nil {
-		return nil, err
-	}
-	skySize := len(candidates)
-	csSize := -1
-	if norm.useCoreset {
-		cs, err := e.coreset(ctx, reg, q, norm, candidates, class)
-		if err != nil {
-			return nil, err
+// artifact is the Engine's artifact source: one singleflight fill per
+// prep-cache key, traced by fillSpan. Fills build at full pool width
+// whatever the requester's Exec — the first requester's knob must not
+// throttle a build every coalesced and future query shares; output is
+// bit-identical at any width, and bind applies the per-query settings.
+func (e *Engine) artifact(ctx context.Context, s stage, _ Exec) (any, error) {
+	v, _, err := e.prep.Do(ctx, s.key, func(fillCtx context.Context) (any, error) {
+		if s.neutral {
+			// A dataset-wide artifact is not one request's work, so its
+			// fan-outs run at the normal class with no deadline.
+			fillCtx = sched.NewContext(fillCtx, sched.Attrs{})
 		}
-		// Same guard as the one-shot path: pruning below K keeps the
-		// unpruned candidates, and the class only gains the coreset
-		// component when the pruning actually applied.
-		if len(cs) > q.K {
-			candidates = cs
-			class = fmt.Sprintf("%s+cs%g", class, norm.coresetEps)
-		}
-		csSize = len(candidates)
-	}
-	instKey := fmt.Sprintf("inst|%s|%s|seed=%d|N=%d|exact=%t|budget=%d",
-		reg.name, class, q.Seed, norm.sampleSize, norm.discrete != nil, effectiveBudget(q.CacheBudget))
-	if q.Float32 {
-		instKey += "|f32"
-	}
-	v, _, err := e.prep.Do(ctx, instKey, func(fillCtx context.Context) (any, error) {
-		fillCtx, fill := e.fillSpan(fillCtx, instKey)
+		fillCtx, fill := e.fillSpan(fillCtx, s.key)
 		defer fill.End()
-		funcs, weights, err := e.funcs(fillCtx, reg, q, norm)
+		var dep any
+		if s.dep != nil {
+			var err error
+			if dep, err = e.artifact(fillCtx, *s.dep, Exec{}); err != nil {
+				return nil, err
+			}
+		}
+		v, err := s.build(fillCtx, Exec{pool: e.pool}, dep)
 		if err != nil {
 			return nil, err
 		}
-		// Shared artifacts are built at full pool width regardless of the
-		// triggering request's Exec: the first requester's knob must not
-		// throttle a dataset-wide build that every coalesced and future
-		// query shares. Preprocessing output is bit-identical at any
-		// width, and per-query execution settings are applied to the
-		// clone below, so this affects fill latency only.
-		prep, err := assemble(fillCtx, reg.ds, candidates, funcs, weights, q, Exec{pool: e.pool})
+		if s.fillAttrs {
+			s.attrs(fill, v)
+		}
 		markShared(fillCtx, fill)
-		return prep, err
+		return v, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	master := v.(*prepared)
-	return &prepared{
-		candidates:  master.candidates,
-		funcs:       master.funcs,
-		weights:     master.weights,
-		in:          master.in.WithExecution(exec.Parallelism, exec.LazyBatch, e.pool, exec.fillAttrs()),
-		skylineSize: skySize,
-		coresetSize: csSize,
-	}, nil
+	return v, err
 }
 
-// coreset resolves the ε-kernel survivor index for the query's candidate
-// class from the prep cache. Like the skyline it is a shared artifact:
-// built once per (dataset, class, seed, N, exact, eps) at full pool
-// width under attr-neutral scheduling, exactly sized in the cache as a
-// plain []int, and traced as a "fill.coreset" span.
-func (e *Engine) coreset(ctx context.Context, reg *registration, q Query, norm normalized, candidates []int, class string) ([]int, error) {
-	key := fmt.Sprintf("coreset|%s|%s|seed=%d|N=%d|exact=%t|eps=%g",
-		reg.name, class, q.Seed, norm.sampleSize, norm.discrete != nil, norm.coresetEps)
-	v, _, err := e.prep.Do(ctx, key, func(fillCtx context.Context) (any, error) {
-		fillCtx = sched.NewContext(fillCtx, sched.Attrs{})
-		fillCtx, fill := e.fillSpan(fillCtx, key)
-		defer fill.End()
-		funcs, _, err := e.funcs(fillCtx, reg, q, norm)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := coreset.Filter(fillCtx, reg.ds.Points, candidates, funcs, coreset.Options{
-			Eps:  norm.coresetEps,
-			Pool: e.pool,
-		})
-		if err != nil {
-			return nil, err
-		}
-		fill.SetAttrInt("in", len(candidates))
-		fill.SetAttrInt("out", len(cs))
-		markShared(fillCtx, fill)
-		return cs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]int), nil
+// bind returns a zero-copy clone of the cached instance carrying the
+// query's Exec and the shared pool.
+func (e *Engine) bind(in *core.Instance, exec Exec) *core.Instance {
+	return in.WithExecution(exec.Parallelism, exec.LazyBatch, e.pool, exec.fillAttrs())
 }
 
 // QueueDepth reports the number of helper requests currently queued on
@@ -563,9 +497,9 @@ func (e *Engine) admit(exec Exec) error {
 }
 
 // fillSpan opens the span of one singleflight prep fill, named after
-// the artifact kind ("fill.sky", "fill.funcs", "fill.inst") and
-// annotated with the cache key — plus the plan-group key when the fill
-// was triggered by a batch group's representative.
+// the artifact kind ("fill.sky", "fill.funcs", "fill.coreset",
+// "fill.inst") and annotated with the cache key — plus the plan-group
+// key when the fill was triggered by a batch group's representative.
 func (e *Engine) fillSpan(fillCtx context.Context, key string) (context.Context, *obs.Span) {
 	name := "fill"
 	if i := strings.IndexByte(key, '|'); i > 0 {
@@ -588,59 +522,6 @@ func (e *Engine) admitTraced(ctx context.Context, exec Exec) error {
 	span.SetAttrBool("shed", err != nil)
 	span.End()
 	return err
-}
-
-// candidates resolves the query's candidate set: the cached skyline when
-// the skyline restriction applies and is larger than K, the full dataset
-// otherwise. class names the variant for the instance cache key.
-func (e *Engine) candidates(ctx context.Context, reg *registration, q Query, norm normalized) ([]int, string, error) {
-	if !norm.useSkyline {
-		return identity(reg.ds.N()), "full", nil
-	}
-	// Workers 0 (full width): see the instance fill — shared builds do
-	// not inherit one request's Exec. Likewise attr-neutral scheduling:
-	// a dataset-wide artifact is not one request's work, so its fan-outs
-	// run at the normal class with no deadline.
-	v, _, err := e.prep.Do(ctx, "sky|"+reg.name, func(fillCtx context.Context) (any, error) {
-		fillCtx = sched.NewContext(fillCtx, sched.Attrs{})
-		fillCtx, fill := e.fillSpan(fillCtx, "sky|"+reg.name)
-		defer fill.End()
-		sky, err := skyline.ComputeOpts(fillCtx, reg.ds.Points, skyline.ComputeOptions{Pool: e.pool})
-		markShared(fillCtx, fill)
-		return sky, err
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	sky := v.([]int)
-	if len(sky) > q.K {
-		return sky, "sky", nil
-	}
-	return identity(reg.ds.N()), "full", nil
-}
-
-// funcs returns the sampled utility functions for (dataset, seed, N)
-// from the cache. Exact-discrete distributions carry their own support —
-// nothing to build, nothing to cache.
-func (e *Engine) funcs(ctx context.Context, reg *registration, q Query, norm normalized) ([]UtilityFunc, []float64, error) {
-	if norm.discrete != nil {
-		return norm.discrete.Funcs, norm.discrete.Probs, nil
-	}
-	key := fmt.Sprintf("funcs|%s|seed=%d|N=%d", reg.name, q.Seed, norm.sampleSize)
-	v, _, err := e.prep.Do(ctx, key, func(fillCtx context.Context) (any, error) {
-		fillCtx, fill := e.fillSpan(fillCtx, key)
-		defer fill.End()
-		funcs, _, err := buildFuncs(fillCtx, reg.dist, norm, q.Seed)
-		if err != nil {
-			return nil, err
-		}
-		markShared(fillCtx, fill)
-		return funcs, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.([]UtilityFunc), nil, nil
 }
 
 // effectiveBudget normalizes CacheBudget for cache keys: zero means the
@@ -683,9 +564,9 @@ func answerSize(v any) int64 {
 }
 
 // prepSize reports the resident bytes of one preprocessing-cache entry
-// exactly: skyline indexes and candidate/weight slices by length, the
-// sampled function set through utility.Footprint (each function's real
-// weight-vector payload), and built instances through
+// exactly: skyline and coreset indexes and candidate/weight slices by
+// length, the sampled function set through utility.Footprint (each
+// function's real weight-vector payload), and built instances through
 // core.Instance.MemoryFootprint (the materialized N×n utility matrix
 // plus the satisfaction/best-point indexes). Instances share their
 // function set with the funcs|… entry, so the functions are counted
@@ -694,7 +575,7 @@ func answerSize(v any) int64 {
 func prepSize(v any) int64 {
 	const sliceHeader = 24
 	switch t := v.(type) {
-	case []int: // skyline index
+	case []int: // skyline or coreset index
 		return sliceHeader + int64(len(t))*8
 	case []UtilityFunc: // sampled functions
 		return funcsSize(t)
@@ -751,11 +632,11 @@ type EngineStats struct {
 	PlannedDedups uint64 `json:"planned_dedups"`
 	PlanGroups    uint64 `json:"plan_groups"`
 	// PrepCache tracks the preprocessing artifacts (skyline indexes,
-	// sampled function sets, built instances); ResultCache tracks whole
-	// query answers. Coalesced counts the singleflight savings: queries
-	// that waited on an in-flight build instead of duplicating it. Bytes,
-	// MaxBytes, Expired, and TTL report the eviction-policy knobs of
-	// EngineConfig.
+	// sampled function sets, coreset indexes, built instances);
+	// ResultCache tracks whole query answers. Coalesced counts the
+	// singleflight savings: queries that waited on an in-flight build
+	// instead of duplicating it. Bytes, MaxBytes, Expired, and TTL report
+	// the eviction-policy knobs of EngineConfig.
 	PrepCache   CacheStats `json:"prep_cache"`
 	ResultCache CacheStats `json:"result_cache"`
 	// Sched reports the shared pool's grant-queue counters: the active

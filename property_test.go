@@ -167,10 +167,10 @@ func TestCoresetARRBoundProperty(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		seed := uint64(trial + 1)
 		g := rng.New(seed * 104729)
-		n := 60 + g.IntN(60)   // 60..119 points
-		k := 2 + g.IntN(4)     // 2..5
-		N := 80 + g.IntN(40)   // sampled users
-		d := 2 + trial%2       // 2-d and 3-d instances
+		n := 60 + g.IntN(60) // 60..119 points
+		k := 2 + g.IntN(4)   // 2..5
+		N := 80 + g.IntN(40) // sampled users
+		d := 2 + trial%2     // 2-d and 3-d instances
 		algo := algos[trial%len(algos)]
 
 		ds, err := Synthetic(n, d, corrs[trial%len(corrs)], seed)

@@ -8,12 +8,9 @@ import (
 
 	"github.com/regretlab/fam/internal/baseline"
 	"github.com/regretlab/fam/internal/core"
-	"github.com/regretlab/fam/internal/coreset"
 	"github.com/regretlab/fam/internal/dp2d"
 	"github.com/regretlab/fam/internal/obs"
-	"github.com/regretlab/fam/internal/rng"
 	"github.com/regretlab/fam/internal/sampling"
-	"github.com/regretlab/fam/internal/skyline"
 	"github.com/regretlab/fam/internal/utility"
 )
 
@@ -79,7 +76,7 @@ func Select(ctx context.Context, q Query, exec Exec) (*Result, *Telemetry, error
 	ctx, span := obs.Start(ctx, "select")
 	defer span.End()
 	preStart := time.Now()
-	prep, err := prepare(ctx, q.Data, q.Dist, q, norm, exec)
+	prep, err := prepare(ctx, callMemo{}, q.Data, q.Dist, q, norm, exec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -113,161 +110,11 @@ func Evaluate(ctx context.Context, q Query, exec Exec) (Metrics, error) {
 	}
 	ctx, cancel := exec.schedContext(ctx)
 	defer cancel()
-	prep, err := prepare(ctx, q.Data, q.Dist, q, norm, exec)
+	prep, err := prepare(ctx, callMemo{}, q.Data, q.Dist, q, norm, exec)
 	if err != nil {
 		return Metrics{}, err
 	}
 	return prep.in.Evaluate(q.ExplicitSet, nil)
-}
-
-// prepared is the per-(dataset, distribution, seed) preprocessing state a
-// query runs against: the candidate set (skyline-restricted when the
-// distribution allows it), the sampled utility functions, and the built
-// core.Instance with its materialized utility matrix. One-shot Select
-// builds it per call; an Engine builds each artifact once per dataset and
-// shares it across every subsequent query.
-type prepared struct {
-	candidates []int
-	funcs      []UtilityFunc
-	weights    []float64
-	in         *core.Instance
-	// skylineSize is the candidate count before the coreset prepass
-	// (what Result.SkylineSize reports); coresetSize is the count after
-	// it, or −1 when the prepass was off.
-	skylineSize int
-	coresetSize int
-}
-
-// prepare runs the preprocessing pipeline of Section III-D2 under the
-// given execution policy. The exec's pool, when non-nil, carries the
-// shard fan-outs (skyline dominance tests, utility materialization,
-// best-point indexing); results are bit-identical with or without one.
-func prepare(ctx context.Context, ds *Dataset, dist Distribution, q Query, norm normalized, exec Exec) (*prepared, error) {
-	ctx, span := obs.Start(ctx, "prepare")
-	defer span.End()
-	// Preprocessing step 1: skyline restriction for monotone Θ (every
-	// user's favorite is a skyline point, so arr over the skyline equals
-	// arr over the database). Index-based (Table) distributions are
-	// excluded: their scores are tied to database positions.
-	candidates := identity(ds.N())
-	if norm.useSkyline {
-		skyCtx, skySpan := obs.Start(ctx, "skyline")
-		sky, err := skyline.ComputeOpts(skyCtx, ds.Points, skyline.ComputeOptions{Workers: exec.Parallelism, Pool: exec.pool})
-		if err != nil {
-			return nil, err
-		}
-		skySpan.SetAttrInt("size", len(sky))
-		skySpan.End()
-		if len(sky) > q.K {
-			candidates = sky
-		}
-	}
-
-	// Preprocessing step 2: sample Θ (or take the discrete support
-	// verbatim with its probabilities — Appendix A) and index best points.
-	funcs, weights, err := buildFuncs(ctx, dist, norm, q.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	// Preprocessing step 3 (opt-in): the ε-kernel coreset prepass drops
-	// candidates that are never within norm.coresetEps of best for any
-	// sampled user. It runs after sampling because the kernel is defined
-	// against the drawn functions, and is skipped — like the skyline
-	// guard above — when it would leave fewer than K+1 candidates.
-	skySize := len(candidates)
-	csSize := -1
-	if norm.useCoreset {
-		cs, err := coresetFilter(ctx, ds, candidates, funcs, norm.coresetEps, exec)
-		if err != nil {
-			return nil, err
-		}
-		if len(cs) > q.K {
-			candidates = cs
-		}
-		csSize = len(candidates)
-	}
-	prep, err := assemble(ctx, ds, candidates, funcs, weights, q, exec)
-	if err != nil {
-		return nil, err
-	}
-	prep.skylineSize, prep.coresetSize = skySize, csSize
-	return prep, nil
-}
-
-// coresetFilter runs the ε-kernel prepass over the current candidates
-// under the query's execution policy, tracing candidate counts on the
-// "coreset" span.
-func coresetFilter(ctx context.Context, ds *Dataset, candidates []int, funcs []UtilityFunc, eps float64, exec Exec) ([]int, error) {
-	csCtx, csSpan := obs.Start(ctx, "coreset")
-	defer csSpan.End()
-	csSpan.SetAttrInt("in", len(candidates))
-	cs, err := coreset.Filter(csCtx, ds.Points, candidates, funcs, coreset.Options{
-		Eps:         eps,
-		Parallelism: exec.Parallelism,
-		Pool:        exec.pool,
-		Sched:       exec.attrs(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	csSpan.SetAttrInt("out", len(cs))
-	return cs, nil
-}
-
-// buildFuncs draws the instance's utility functions: the discrete support
-// with its probabilities in exact mode, or norm.sampleSize draws seeded
-// by seed.
-func buildFuncs(ctx context.Context, dist Distribution, norm normalized, seed uint64) ([]UtilityFunc, []float64, error) {
-	_, span := obs.Start(ctx, "buildFuncs")
-	defer span.End()
-	if norm.discrete != nil {
-		span.SetAttrInt("funcs", len(norm.discrete.Funcs))
-		return norm.discrete.Funcs, norm.discrete.Probs, nil
-	}
-	funcs, err := sampling.Sample(dist, norm.sampleSize, rng.New(seed))
-	if err != nil {
-		return nil, nil, err
-	}
-	span.SetAttrInt("funcs", len(funcs))
-	return funcs, nil, nil
-}
-
-// assemble restricts the point set to the candidates and builds the
-// core.Instance (utility materialization + best-point indexing).
-func assemble(ctx context.Context, ds *Dataset, candidates []int, funcs []UtilityFunc, weights []float64, q Query, exec Exec) (*prepared, error) {
-	_, span := obs.Start(ctx, "assemble")
-	span.SetAttrInt("candidates", len(candidates))
-	defer span.End()
-	points := ds.Points
-	if len(candidates) != ds.N() {
-		// Index-based utility functions would be misaligned on a
-		// restricted candidate set; monotone vector distributions never
-		// sample them, but guard against a mismatched registration.
-		for _, f := range funcs {
-			if _, ok := f.(utility.Table); ok {
-				return nil, errors.New("fam: index-based utility functions cannot be combined with skyline or coreset preprocessing")
-			}
-		}
-		points = make([][]float64, len(candidates))
-		for i, c := range candidates {
-			points[i] = ds.Points[c]
-		}
-	}
-	in, err := core.NewInstance(points, funcs, core.Options{
-		CacheBudget: q.CacheBudget,
-		Weights:     weights,
-		Float32:     q.Float32,
-		Parallelism: exec.Parallelism,
-		LazyBatch:   exec.LazyBatch,
-		Pool:        exec.pool,
-		Sched:       exec.attrs(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &prepared{candidates: candidates, funcs: funcs, weights: weights, in: in,
-		skylineSize: len(candidates), coresetSize: -1}, nil
 }
 
 // solve runs the query phase on prepared state: the selected solver, the
@@ -388,12 +235,4 @@ func isLinearDist(dist Distribution) bool {
 	default:
 		return false
 	}
-}
-
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

@@ -381,18 +381,18 @@ func toTelemetry(t *fam.Telemetry, withTrace bool) *TelemetryResponse {
 // shape of a v2 member. ExactARR is negative when the algorithm does not
 // compute an exact value. Telemetry is populated on the v2 surface only.
 type SelectResponse struct {
-	Dataset      string             `json:"dataset"`
-	Algorithm    string             `json:"algorithm"`
-	K            int                `json:"k"`
-	Indices      []int              `json:"indices"`
-	Labels       []string           `json:"labels"`
-	Metrics      Metrics            `json:"metrics"`
-	ExactARR     float64            `json:"exact_arr"`
-	SkylineSize  int                `json:"skyline_size"`
+	Dataset     string   `json:"dataset"`
+	Algorithm   string   `json:"algorithm"`
+	K           int      `json:"k"`
+	Indices     []int    `json:"indices"`
+	Labels      []string `json:"labels"`
+	Metrics     Metrics  `json:"metrics"`
+	ExactARR    float64  `json:"exact_arr"`
+	SkylineSize int      `json:"skyline_size"`
 	// CoresetSize is the candidate count after the ε-kernel prepass;
 	// omitted when the query did not enable Coreset.
-	CoresetSize *int `json:"coreset_size,omitempty"`
-	Cached      bool `json:"cached"`
+	CoresetSize  *int               `json:"coreset_size,omitempty"`
+	Cached       bool               `json:"cached"`
 	PreprocessMS float64            `json:"preprocess_ms"`
 	QueryMS      float64            `json:"query_ms"`
 	Telemetry    *TelemetryResponse `json:"telemetry,omitempty"`

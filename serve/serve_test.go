@@ -264,6 +264,9 @@ func TestServeBatchSelect(t *testing.T) {
 	if evalSlot.Error != "" || len(evalSlot.Indices) != 3 || evalSlot.Metrics.ARR < 0 {
 		t.Fatalf("evaluation member: %+v", evalSlot)
 	}
+	if evalSlot.CoresetSize != nil {
+		t.Fatalf("evaluation member reports coreset_size %d; the prepass never runs on evaluations", *evalSlot.CoresetSize)
+	}
 	bad := resp.Results[4]
 	if bad.Error == "" || bad.Status != http.StatusNotFound || bad.SelectResponse != nil {
 		t.Fatalf("failing member: %+v", bad)

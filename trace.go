@@ -24,8 +24,8 @@ type TraceSpan struct {
 	Parent  string `json:"parent_span_id,omitempty"`
 	// Name is the operation ("engine.select", "prepare", "solve",
 	// "shrink", "round", ...; see the README span catalog).
-	Name  string    `json:"name"`
-	Start time.Time `json:"start"`
+	Name  string        `json:"name"`
+	Start time.Time     `json:"start"`
 	Dur   time.Duration `json:"dur_ns"`
 	// Attrs annotate the span with values that are pure functions of the
 	// query (key, strategy, n, k, eval counts, hit/shared/dedup flags).

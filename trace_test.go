@@ -12,21 +12,32 @@ import (
 )
 
 var updateTraceShape = flag.Bool("update-trace-shape", false,
-	"rewrite testdata/trace_shape.golden from the current span structure")
+	"rewrite testdata/trace_shape*.golden from the current span structure")
 
 // The span tree of a fixed (Query, Exec) is structurally deterministic:
 // identical names, nesting, counts, and attributes at any worker count —
 // only durations and pool-grant events vary, and Shape excludes both.
-// The golden file pins the cold (cache-filling) and warm (result-cache
-// hit) shapes; `go test -run TraceSpanShape -update-trace-shape .`
-// regenerates it after an intentional structure change.
+// trace_shape.golden pins the Engine's cold (cache-filling) and warm
+// (result-cache hit) shapes; trace_shape_oneshot.golden pins a one-shot
+// Select with the coreset prepass on, whose prepare span nests the
+// skyline, buildFuncs, coreset and assemble stages.
+// `go test -run TraceSpanShape -update-trace-shape .` regenerates both
+// after an intentional structure change.
 func TestTraceSpanShapeGolden(t *testing.T) {
 	q := Query{Dataset: "hotels", K: 5, Seed: 9, SampleSize: 120}
 	shapes := map[int]string{}
+	oneShot := map[int]string{}
 	var warm string
 	for _, workers := range []int{1, 8} {
+		fixtures := engineFixtures(t)
+		oneShotQ := Query{Data: fixtures[0].ds, Dist: fixtures[0].dist, K: 5, Seed: 9, SampleSize: 120, Coreset: true}
+		_, tel, err := Select(TraceContext(context.Background(), ""), oneShotQ, Exec{Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneShot[workers] = tel.Trace.Shape()
 		e := NewEngine(EngineConfig{Workers: workers})
-		for _, f := range engineFixtures(t) {
+		for _, f := range fixtures {
 			if err := e.Register(f.name, f.ds, f.dist); err != nil {
 				t.Fatal(err)
 			}
@@ -55,8 +66,18 @@ func TestTraceSpanShapeGolden(t *testing.T) {
 	if shapes[1] != shapes[8] {
 		t.Fatalf("span shape varies with worker count:\n-- workers 1 --\n%s-- workers 8 --\n%s", shapes[1], shapes[8])
 	}
-	golden := "-- cold --\n" + shapes[1] + "-- warm --\n" + warm
-	path := filepath.Join("testdata", "trace_shape.golden")
+	if oneShot[1] != oneShot[8] {
+		t.Fatalf("one-shot span shape varies with worker count:\n-- workers 1 --\n%s-- workers 8 --\n%s", oneShot[1], oneShot[8])
+	}
+	checkTraceGolden(t, "trace_shape.golden", "-- cold --\n"+shapes[1]+"-- warm --\n"+warm)
+	checkTraceGolden(t, "trace_shape_oneshot.golden", oneShot[1])
+}
+
+// checkTraceGolden compares a rendered span shape with testdata/name,
+// rewriting the file first under -update-trace-shape.
+func checkTraceGolden(t *testing.T, name, golden string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateTraceShape {
 		if err := os.WriteFile(path, []byte(golden), 0o644); err != nil {
 			t.Fatal(err)
@@ -67,7 +88,7 @@ func TestTraceSpanShapeGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update-trace-shape to generate)", err)
 	}
 	if golden != string(want) {
-		t.Fatalf("span shape drifted from golden:\n-- got --\n%s\n-- want --\n%s", golden, want)
+		t.Fatalf("span shape drifted from %s:\n-- got --\n%s\n-- want --\n%s", name, golden, want)
 	}
 }
 
