@@ -21,7 +21,7 @@ var updateAPISurface = flag.Bool("update-api-surface", false,
 
 // TestAPISurface pins the exported API of the fam and serve packages
 // against a golden file, so a PR cannot silently change a public
-// signature, drop a deprecated shim, or leak an unintended export. It is
+// signature, remove an export, or leak an unintended one. It is
 // the offline equivalent of an apidiff/`go doc` diff: every exported
 // type (with its exported fields), function, method, const, and var is
 // rendered from the AST and compared textually.
@@ -82,7 +82,7 @@ func TestAPISurface(t *testing.T) {
 		}
 	}
 	t.Fatalf("exported API surface changed.\n\nadded/changed:\n  %s\n\nremoved/changed:\n  %s\n\n"+
-		"If the change is intentional (including any change to the deprecated v1 shims), regenerate the golden:\n"+
+		"If the change is intentional, regenerate the golden:\n"+
 		"\tgo test -run TestAPISurface -update-api-surface .",
 		strings.Join(added, "\n  "), strings.Join(removed, "\n  "))
 }

@@ -54,14 +54,13 @@ func TestEngineCacheSharedAcrossExec(t *testing.T) {
 		t.Fatal("LazyBatch leaked into the result-cache key")
 	}
 
-	// The legacy shim funnels into the same cache: a v1-style call with
-	// yet another Parallelism still hits.
-	viaShim, err := e.SelectWithOptions(ctx, "hotels", SelectOptions{K: 5, Seed: 9, SampleSize: 120, Parallelism: 3})
+	// Yet another Parallelism still hits the same entry.
+	third, _, err := e.Select(ctx, Query{Dataset: "hotels", K: 5, Seed: 9, SampleSize: 120}, Exec{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !viaShim.Cached {
-		t.Fatal("legacy shim bypassed the shared result cache")
+	if !third.Cached {
+		t.Fatal("Parallelism 3 bypassed the shared result cache")
 	}
 }
 

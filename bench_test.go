@@ -455,7 +455,7 @@ func BenchmarkSelectEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SelectWithOptions(context.Background(), ds, dist, SelectOptions{K: 8, Seed: 1, SampleSize: 2000}); err != nil {
+		if _, _, err := Select(context.Background(), Query{Data: ds, Dist: dist, K: 8, Seed: 1, SampleSize: 2000}, Exec{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,14 +30,13 @@ func TestSelectParallelMatchesSerialAllAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range allAlgorithms {
-		opts := SelectOptions{K: 3, Seed: 9, SampleSize: 300, Algorithm: algo, Parallelism: 1}
-		ref, err := SelectWithOptions(ctx, ds, dist, opts)
+		q := Query{Data: ds, Dist: dist, K: 3, Seed: 9, SampleSize: 300, Algorithm: algo}
+		ref, _, err := Select(ctx, q, Exec{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s serial: %v", algo, err)
 		}
 		for _, workers := range []int{2, 4, 0} {
-			opts.Parallelism = workers
-			got, err := SelectWithOptions(ctx, ds, dist, opts)
+			got, _, err := Select(ctx, q, Exec{Parallelism: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", algo, workers, err)
 			}
@@ -63,14 +62,13 @@ func TestSelectParallelSampledMRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := SelectOptions{K: 4, Seed: 2, SampleSize: 400, Algorithm: MRRGreedy, Parallelism: 1}
-	ref, err := SelectWithOptions(ctx, ds, dist, opts)
+	q := Query{Data: ds, Dist: dist, K: 4, Seed: 2, SampleSize: 400, Algorithm: MRRGreedy}
+	ref, _, err := Select(ctx, q, Exec{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, 0} {
-		opts.Parallelism = workers
-		got, err := SelectWithOptions(ctx, ds, dist, opts)
+		got, _, err := Select(ctx, q, Exec{Parallelism: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,16 +91,16 @@ func TestSelectStrategiesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := SelectOptions{K: 6, Seed: seed, SampleSize: 350}
+		base := Query{Data: ds, Dist: dist, K: 6, Seed: seed, SampleSize: 350}
 		base.Algorithm = GreedyShrink
-		ref, err := SelectWithOptions(ctx, ds, dist, base)
+		ref, _, err := Select(ctx, base, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, algo := range []Algorithm{GreedyShrinkLazy, GreedyShrinkNaive} {
-			opts := base
-			opts.Algorithm = algo
-			got, err := SelectWithOptions(ctx, ds, dist, opts)
+			q := base
+			q.Algorithm = algo
+			got, _, err := Select(ctx, q, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,9 +130,7 @@ func TestSelectPreCanceledAllAlgorithms(t *testing.T) {
 	cancel()
 	for _, algo := range allAlgorithms {
 		for _, workers := range []int{1, 4} {
-			_, err := SelectWithOptions(ctx, ds, dist, SelectOptions{
-				K: 3, Seed: 1, SampleSize: 200, Algorithm: algo, Parallelism: workers,
-			})
+			_, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 3, Seed: 1, SampleSize: 200, Algorithm: algo}, Exec{Parallelism: workers})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s workers=%d: err = %v, want context.Canceled", algo, workers, err)
 			}

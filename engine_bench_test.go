@@ -28,10 +28,10 @@ func BenchmarkEngineConcurrent(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries := []SelectOptions{
-		{K: 5, Seed: 7, SampleSize: 200},
-		{K: 10, Seed: 7, SampleSize: 200},
-		{K: 10, Seed: 7, SampleSize: 200, Algorithm: GreedyAdd},
+	queries := []Query{
+		{Dataset: "bench", K: 5, Seed: 7, SampleSize: 200},
+		{Dataset: "bench", K: 10, Seed: 7, SampleSize: 200},
+		{Dataset: "bench", K: 10, Seed: 7, SampleSize: 200, Algorithm: GreedyAdd},
 	}
 	ctx := context.Background()
 
@@ -43,7 +43,7 @@ func BenchmarkEngineConcurrent(b *testing.B) {
 				defer wg.Done()
 				for i := 0; i < len(queries); i++ {
 					q := queries[(i+c)%len(queries)]
-					if _, err := e.SelectWithOptions(ctx, "bench", q); err != nil {
+					if _, _, err := e.Select(ctx, q, Exec{}); err != nil {
 						b.Error(err)
 						return
 					}

@@ -51,30 +51,36 @@ func engineFixtures(t testing.TB) []engineFixture {
 	}
 }
 
-// engineQuery is one (dataset, options) Select combo.
+// engineQuery is one Select combo; q.Dataset names the fixture.
 type engineQuery struct {
-	dataset string
-	opts    SelectOptions
+	q    Query
+	exec Exec
+}
+
+// oneShot binds the query to its fixture for a one-shot Select.
+func (eq engineQuery) oneShot(f engineFixture) Query {
+	q := eq.q
+	q.Data, q.Dist = f.ds, f.dist
+	return q
 }
 
 func engineQueries() []engineQuery {
-	base := SelectOptions{Seed: 9, SampleSize: 120}
-	with := func(ds string, mod func(*SelectOptions)) engineQuery {
-		o := base
-		mod(&o)
-		return engineQuery{dataset: ds, opts: o}
+	with := func(ds string, k int, algo Algorithm) engineQuery {
+		return engineQuery{q: Query{Dataset: ds, K: k, Algorithm: algo, Seed: 9, SampleSize: 120}}
 	}
+	lazy := with("hotels", 5, GreedyShrinkLazy)
+	lazy.exec.LazyBatch = 4
 	return []engineQuery{
-		with("hotels", func(o *SelectOptions) { o.K = 5 }),
-		with("hotels", func(o *SelectOptions) { o.K = 5; o.Algorithm = GreedyShrinkLazy; o.LazyBatch = 4 }),
-		with("hotels", func(o *SelectOptions) { o.K = 3; o.Algorithm = GreedyShrinkNaive }),
-		with("hotels", func(o *SelectOptions) { o.K = 7; o.Algorithm = GreedyAdd }),
-		with("hotels", func(o *SelectOptions) { o.K = 5; o.Algorithm = KHit }),
-		with("hotels", func(o *SelectOptions) { o.K = 4; o.Algorithm = MRRGreedy }),
-		with("hotels", func(o *SelectOptions) { o.K = 4; o.Algorithm = SkyDom }),
-		with("grid2d", func(o *SelectOptions) { o.K = 3; o.Algorithm = DP2D }),
-		with("grid2d", func(o *SelectOptions) { o.K = 4 }),
-		with("tiny", func(o *SelectOptions) { o.K = 3; o.Algorithm = BruteForce }),
+		with("hotels", 5, GreedyShrink),
+		lazy,
+		with("hotels", 3, GreedyShrinkNaive),
+		with("hotels", 7, GreedyAdd),
+		with("hotels", 5, KHit),
+		with("hotels", 4, MRRGreedy),
+		with("hotels", 4, SkyDom),
+		with("grid2d", 3, DP2D),
+		with("grid2d", 4, GreedyShrink),
+		with("tiny", 3, BruteForce),
 	}
 }
 
@@ -101,8 +107,10 @@ func newTestEngine(t testing.TB, fixtures []engineFixture) *Engine {
 }
 
 // assertResultEqual checks the bit-identity contract: everything except
-// the timing fields and the Cached marker must match a one-shot Select.
-func assertResultEqual(t testing.TB, label string, got, want *LegacyResult) {
+// the timing fields and the Cached marker must match a one-shot Select,
+// the solver's work counters included (a cache hit carries them under
+// Telemetry.Replay).
+func assertResultEqual(t testing.TB, label string, got *Result, gotTel *Telemetry, want *Result, wantTel *Telemetry) {
 	t.Helper()
 	if len(got.Indices) != len(want.Indices) {
 		t.Fatalf("%s: %d indices, want %d", label, len(got.Indices), len(want.Indices))
@@ -119,8 +127,11 @@ func assertResultEqual(t testing.TB, label string, got, want *LegacyResult) {
 		t.Fatalf("%s: (ExactARR, SkylineSize) = (%v, %d), want (%v, %d)",
 			label, got.ExactARR, got.SkylineSize, want.ExactARR, want.SkylineSize)
 	}
-	if got.Stats != want.Stats {
-		t.Fatalf("%s: stats %+v, want %+v", label, got.Stats, want.Stats)
+	if gotTel.Replay != nil {
+		gotTel = gotTel.Replay
+	}
+	if gotTel.Stats != wantTel.Stats {
+		t.Fatalf("%s: stats %+v, want %+v", label, gotTel.Stats, wantTel.Stats)
 	}
 	assertMetricsEqual(t, label, got.Metrics, want.Metrics)
 }
@@ -153,38 +164,36 @@ func TestEngineMatchesOneShot(t *testing.T) {
 	}
 
 	for _, q := range engineQueries() {
-		label := fmt.Sprintf("%s/%s/k=%d", q.dataset, q.opts.Algorithm, q.opts.K)
-		f := byName[q.dataset]
-		want, err := SelectWithOptions(ctx, f.ds, f.dist, q.opts)
+		label := fmt.Sprintf("%s/%s/k=%d", q.q.Dataset, q.q.Algorithm, q.q.K)
+		want, wantTel, err := Select(ctx, q.oneShot(byName[q.q.Dataset]), q.exec)
 		if err != nil {
 			t.Fatalf("%s one-shot: %v", label, err)
 		}
-		cold, err := e.SelectWithOptions(ctx, q.dataset, q.opts)
+		cold, coldTel, err := e.Select(ctx, q.q, q.exec)
 		if err != nil {
 			t.Fatalf("%s cold: %v", label, err)
 		}
 		if cold.Cached {
 			t.Fatalf("%s: cold query reported Cached", label)
 		}
-		assertResultEqual(t, label+" cold", cold, want)
-		warm, err := e.SelectWithOptions(ctx, q.dataset, q.opts)
+		assertResultEqual(t, label+" cold", cold, coldTel, want, wantTel)
+		warm, warmTel, err := e.Select(ctx, q.q, q.exec)
 		if err != nil {
 			t.Fatalf("%s warm: %v", label, err)
 		}
 		if !warm.Cached {
 			t.Fatalf("%s: warm query not served from result cache", label)
 		}
-		assertResultEqual(t, label+" warm", warm, want)
+		assertResultEqual(t, label+" warm", warm, warmTel, want, wantTel)
 	}
 
 	for _, q := range engineEvalQueries {
 		f := byName[q.dataset]
-		opts := SelectOptions{Seed: 9, SampleSize: 120}
-		want, err := EvaluateWithOptions(ctx, f.ds, f.dist, q.set, opts)
+		want, err := Evaluate(ctx, Query{Data: f.ds, Dist: f.dist, ExplicitSet: q.set, Seed: 9, SampleSize: 120}, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.EvaluateWithOptions(ctx, q.dataset, q.set, opts)
+		got, err := e.Evaluate(ctx, Query{Dataset: q.dataset, ExplicitSet: q.set, Seed: 9, SampleSize: 120}, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,20 +223,19 @@ func TestEngineConcurrentStress(t *testing.T) {
 	ctx := context.Background()
 
 	// Ground truth from fresh one-shot calls.
-	wantSelect := make([]*LegacyResult, len(queries))
+	wantSelect := make([]*Result, len(queries))
+	wantTel := make([]*Telemetry, len(queries))
 	for i, q := range queries {
-		f := byName[q.dataset]
-		res, err := SelectWithOptions(ctx, f.ds, f.dist, q.opts)
+		res, tel, err := Select(ctx, q.oneShot(byName[q.q.Dataset]), q.exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSelect[i] = res
+		wantSelect[i], wantTel[i] = res, tel
 	}
-	evalOpts := SelectOptions{Seed: 9, SampleSize: 120}
 	wantEval := make([]Metrics, len(engineEvalQueries))
 	for i, q := range engineEvalQueries {
 		f := byName[q.dataset]
-		m, err := EvaluateWithOptions(ctx, f.ds, f.dist, q.set, evalOpts)
+		m, err := Evaluate(ctx, Query{Data: f.ds, Dist: f.dist, ExplicitSet: q.set, Seed: 9, SampleSize: 120}, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,18 +253,18 @@ func TestEngineConcurrentStress(t *testing.T) {
 				defer wg.Done()
 				start.Wait() // maximize cold-cache collisions
 				for i := range queries {
-					q := queries[(i+g)%len(queries)] // interleave differently per goroutine
-					want := wantSelect[(i+g)%len(queries)]
-					label := fmt.Sprintf("g%d %s/%s/k=%d", g, q.dataset, q.opts.Algorithm, q.opts.K)
-					got, err := e.SelectWithOptions(ctx, q.dataset, q.opts)
+					j := (i + g) % len(queries) // interleave differently per goroutine
+					q := queries[j]
+					label := fmt.Sprintf("g%d %s/%s/k=%d", g, q.q.Dataset, q.q.Algorithm, q.q.K)
+					got, tel, err := e.Select(ctx, q.q, q.exec)
 					if err != nil {
 						t.Errorf("%s: %v", label, err)
 						return
 					}
-					assertResultEqual(t, label, got, want)
+					assertResultEqual(t, label, got, tel, wantSelect[j], wantTel[j])
 				}
 				for i, q := range engineEvalQueries {
-					m, err := e.EvaluateWithOptions(ctx, q.dataset, q.set, evalOpts)
+					m, err := e.Evaluate(ctx, Query{Dataset: q.dataset, ExplicitSet: q.set, Seed: 9, SampleSize: 120}, Exec{})
 					if err != nil {
 						t.Errorf("g%d evaluate %s: %v", g, q.dataset, err)
 						return
@@ -315,25 +323,26 @@ func TestEngineFailFast(t *testing.T) {
 
 	cases := []struct {
 		name string
-		opts SelectOptions
+		q    Query
 	}{
-		{"k zero", SelectOptions{K: 0}},
-		{"k too large", SelectOptions{K: 10_000}},
-		{"bad epsilon", SelectOptions{K: 3, Epsilon: 2}},
-		{"bad sigma", SelectOptions{K: 3, Sigma: -0.5}},
-		{"negative sample size", SelectOptions{K: 3, SampleSize: -1}},
-		{"unknown algorithm", SelectOptions{K: 3, Algorithm: Algorithm(99)}},
-		{"exact discrete on continuous", SelectOptions{K: 3, ExactDiscrete: true}},
+		{"k zero", Query{K: 0}},
+		{"k too large", Query{K: 10_000}},
+		{"bad epsilon", Query{K: 3, Epsilon: 2}},
+		{"bad sigma", Query{K: 3, Sigma: -0.5}},
+		{"negative sample size", Query{K: 3, SampleSize: -1}},
+		{"unknown algorithm", Query{K: 3, Algorithm: Algorithm(99)}},
+		{"exact discrete on continuous", Query{K: 3, ExactDiscrete: true}},
 	}
 	for _, tc := range cases {
-		if _, err := e.SelectWithOptions(ctx, "hotels", tc.opts); !errors.Is(err, ErrBadOptions) {
+		tc.q.Dataset = "hotels"
+		if _, _, err := e.Select(ctx, tc.q, Exec{}); !errors.Is(err, ErrBadOptions) {
 			t.Fatalf("%s: err = %v, want ErrBadOptions", tc.name, err)
 		}
 	}
-	if _, err := e.SelectWithOptions(ctx, "nope", SelectOptions{K: 3}); !errors.Is(err, ErrUnknownDataset) {
+	if _, _, err := e.Select(ctx, Query{Dataset: "nope", K: 3}, Exec{}); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("unknown dataset: %v", err)
 	}
-	if _, err := e.EvaluateWithOptions(ctx, "hotels", []int{1, 1}, SelectOptions{SampleSize: 50}); !errors.Is(err, ErrInvalidSet) {
+	if _, err := e.Evaluate(ctx, Query{Dataset: "hotels", ExplicitSet: []int{1, 1}, SampleSize: 50}, Exec{}); !errors.Is(err, ErrInvalidSet) {
 		t.Fatalf("invalid set: %v", err)
 	}
 	s := e.Stats()
@@ -345,10 +354,10 @@ func TestEngineFailFast(t *testing.T) {
 		t.Fatalf("duplicate register: %v", err)
 	}
 	e.Close()
-	if _, err := e.SelectWithOptions(ctx, "hotels", SelectOptions{K: 3}); !errors.Is(err, ErrEngineClosed) {
+	if _, _, err := e.Select(ctx, Query{Dataset: "hotels", K: 3}, Exec{}); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("closed engine select: %v", err)
 	}
-	if _, err := e.EvaluateWithOptions(ctx, "hotels", []int{0}, SelectOptions{}); !errors.Is(err, ErrEngineClosed) {
+	if _, err := e.Evaluate(ctx, Query{Dataset: "hotels", ExplicitSet: []int{0}}, Exec{}); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("closed engine evaluate: %v", err)
 	}
 	if err := e.Register("x", fixtures[0].ds, fixtures[0].dist); !errors.Is(err, ErrEngineClosed) {
@@ -361,8 +370,8 @@ func TestEngineFailFast(t *testing.T) {
 func TestEngineResultIsolation(t *testing.T) {
 	e := newTestEngine(t, engineFixtures(t))
 	ctx := context.Background()
-	opts := SelectOptions{K: 5, Seed: 9, SampleSize: 120}
-	first, err := e.SelectWithOptions(ctx, "hotels", opts)
+	q := Query{Dataset: "hotels", K: 5, Seed: 9, SampleSize: 120}
+	first, _, err := e.Select(ctx, q, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +379,7 @@ func TestEngineResultIsolation(t *testing.T) {
 	first.Indices[0] = -999
 	first.Labels[0] = "corrupted"
 	first.Metrics.Percentiles[0] = -1
-	second, err := e.SelectWithOptions(ctx, "hotels", opts)
+	second, _, err := e.Select(ctx, q, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,41 +506,6 @@ func TestEngineStatsBatchSnapshotInvariants(t *testing.T) {
 	}
 	if s.PlannedDedups != s.Batches {
 		t.Fatalf("quiesced: PlannedDedups %d != Batches %d", s.PlannedDedups, s.Batches)
-	}
-}
-
-// TestLegacyShimCarriesQueueWait pins the v1 shim's frozen contract: a
-// result-cache hit now reports its own near-zero execution with the
-// filler's Telemetry under Replay, and the shim folds the replay back
-// so the LegacyResult still carries the computing execution's timings
-// (QueueWait = the hit's own wait, zero on a pure hit, plus the
-// replayed wait) — exactly what v1 always reported.
-func TestLegacyShimCarriesQueueWait(t *testing.T) {
-	e := newTestEngine(t, engineFixtures(t))
-	ctx := context.Background()
-
-	opts := SelectOptions{K: 5, Seed: 9, SampleSize: 120}
-	q, exec := opts.Split()
-	q.Dataset = "hotels"
-	_, tel, err := e.Select(ctx, q, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	legacy, err := e.SelectWithOptions(ctx, "hotels", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !legacy.Cached {
-		t.Fatal("second equivalent query missed the result cache")
-	}
-	if legacy.QueueWait != tel.QueueWait {
-		t.Fatalf("legacy QueueWait %v != replayed telemetry QueueWait %v (shim drops the counter)",
-			legacy.QueueWait, tel.QueueWait)
-	}
-	if legacy.Preprocess != tel.Preprocess || legacy.Query != tel.Query {
-		t.Fatalf("legacy timings (%v, %v) != replayed telemetry (%v, %v)",
-			legacy.Preprocess, legacy.Query, tel.Preprocess, tel.Query)
 	}
 }
 

@@ -19,7 +19,6 @@ func TestEvaluateSetValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := SelectOptions{Seed: 1, SampleSize: 50}
 
 	cases := []struct {
 		name    string
@@ -38,7 +37,7 @@ func TestEvaluateSetValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := EvaluateWithOptions(ctx, ds, dist, tc.set, opts)
+			m, err := Evaluate(ctx, Query{Data: ds, Dist: dist, ExplicitSet: tc.set, Seed: 1, SampleSize: 50}, Exec{})
 			if !tc.wantErr {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -70,7 +69,7 @@ func TestSelectKValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{0, -3, 9, 100} {
-		if _, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: k, Seed: 1, SampleSize: 30}); err == nil {
+		if _, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: k, Seed: 1, SampleSize: 30}, Exec{}); err == nil {
 			t.Fatalf("K=%d accepted, want error (n=8)", k)
 		}
 	}

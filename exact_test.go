@@ -30,7 +30,7 @@ func tableIDataset(t *testing.T) (*Dataset, Distribution) {
 func TestExactDiscreteEvaluate(t *testing.T) {
 	ctx := context.Background()
 	ds, dist := tableIDataset(t)
-	m, err := EvaluateWithOptions(ctx, ds, dist, []int{2, 3}, SelectOptions{ExactDiscrete: true})
+	m, err := Evaluate(ctx, Query{Data: ds, Dist: dist, ExplicitSet: []int{2, 3}, ExactDiscrete: true}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,16 +46,14 @@ func TestExactDiscreteEvaluate(t *testing.T) {
 func TestExactDiscreteSelect(t *testing.T) {
 	ctx := context.Background()
 	ds, dist := tableIDataset(t)
-	res, err := SelectWithOptions(ctx, ds, dist, SelectOptions{
-		K: 2, Algorithm: BruteForce, ExactDiscrete: true,
-	})
+	res, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 2, Algorithm: BruteForce, ExactDiscrete: true}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Verify optimality against all pairs under exact evaluation.
 	for a := 0; a < 4; a++ {
 		for b := a + 1; b < 4; b++ {
-			m, err := EvaluateWithOptions(ctx, ds, dist, []int{a, b}, SelectOptions{ExactDiscrete: true})
+			m, err := Evaluate(ctx, Query{Data: ds, Dist: dist, ExplicitSet: []int{a, b}, ExactDiscrete: true}, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,9 +63,7 @@ func TestExactDiscreteSelect(t *testing.T) {
 		}
 	}
 	// Exact mode is deterministic regardless of seed.
-	res2, err := SelectWithOptions(ctx, ds, dist, SelectOptions{
-		K: 2, Algorithm: BruteForce, ExactDiscrete: true, Seed: 999,
-	})
+	res2, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 2, Algorithm: BruteForce, ExactDiscrete: true, Seed: 999}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +75,11 @@ func TestExactDiscreteSelect(t *testing.T) {
 func TestExactDiscreteGreedyMatchesSampling(t *testing.T) {
 	ctx := context.Background()
 	ds, dist := tableIDataset(t)
-	exact, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 2, ExactDiscrete: true})
+	exact, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 2, ExactDiscrete: true}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 2, SampleSize: 20000, Seed: 5})
+	sampled, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 2, SampleSize: 20000, Seed: 5}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +94,10 @@ func TestExactDiscreteRequiresDiscrete(t *testing.T) {
 	ctx := context.Background()
 	ds, _ := Hotels(20, 1)
 	dist, _ := UniformLinear(ds.Dim())
-	if _, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 2, ExactDiscrete: true}); err == nil {
+	if _, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 2, ExactDiscrete: true}, Exec{}); err == nil {
 		t.Fatal("ExactDiscrete with a continuous Θ must error")
 	}
-	if _, err := EvaluateWithOptions(ctx, ds, dist, []int{0}, SelectOptions{ExactDiscrete: true}); err == nil {
+	if _, err := Evaluate(ctx, Query{Data: ds, Dist: dist, ExplicitSet: []int{0}, ExactDiscrete: true}, Exec{}); err == nil {
 		t.Fatal("Evaluate ExactDiscrete with a continuous Θ must error")
 	}
 }

@@ -26,26 +26,26 @@ func hotelSetup(t *testing.T) (*Dataset, Distribution) {
 func TestSelectValidation(t *testing.T) {
 	ctx := context.Background()
 	ds, dist := hotelSetup(t)
-	if _, err := SelectWithOptions(ctx, nil, dist, SelectOptions{K: 3}); err == nil {
+	if _, _, err := Select(ctx, Query{Dist: dist, K: 3}, Exec{}); err == nil {
 		t.Fatal("nil dataset must error")
 	}
-	if _, err := SelectWithOptions(ctx, ds, nil, SelectOptions{K: 3}); err == nil {
+	if _, _, err := Select(ctx, Query{Data: ds, K: 3}, Exec{}); err == nil {
 		t.Fatal("nil distribution must error")
 	}
-	if _, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 0}); err == nil {
+	if _, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 0}, Exec{}); err == nil {
 		t.Fatal("K=0 must error")
 	}
-	if _, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 1000}); err == nil {
+	if _, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 1000}, Exec{}); err == nil {
 		t.Fatal("K>n must error")
 	}
 	wrongDim, _ := UniformLinear(3)
-	if _, err := SelectWithOptions(ctx, ds, wrongDim, SelectOptions{K: 3}); err == nil {
+	if _, _, err := Select(ctx, Query{Data: ds, Dist: wrongDim, K: 3}, Exec{}); err == nil {
 		t.Fatal("dimension mismatch must error")
 	}
-	if _, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 3, Algorithm: Algorithm(99)}); err == nil {
+	if _, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 3, Algorithm: Algorithm(99)}, Exec{}); err == nil {
 		t.Fatal("unknown algorithm must error")
 	}
-	if _, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 3, Epsilon: 2}); err == nil {
+	if _, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 3, Epsilon: 2}, Exec{}); err == nil {
 		t.Fatal("bad epsilon must error")
 	}
 }
@@ -53,7 +53,7 @@ func TestSelectValidation(t *testing.T) {
 func TestSelectDefaultPipeline(t *testing.T) {
 	ctx := context.Background()
 	ds, dist := hotelSetup(t)
-	res, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 5, Seed: 1})
+	res, tel, err := Select(ctx, Query{Data: ds, Dist: dist, K: 5, Seed: 1}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSelectDefaultPipeline(t *testing.T) {
 	if res.ExactARR >= 0 {
 		t.Fatal("ExactARR should be unset for sampled algorithms")
 	}
-	if res.Stats.Iterations == 0 {
+	if tel.Stats.Iterations == 0 {
 		t.Fatal("shrink stats missing")
 	}
 	// Labels match the dataset.
@@ -89,11 +89,11 @@ func TestSelectDefaultPipeline(t *testing.T) {
 func TestSelectDeterminism(t *testing.T) {
 	ctx := context.Background()
 	ds, dist := hotelSetup(t)
-	a, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 4, Seed: 9})
+	a, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 4, Seed: 9}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 4, Seed: 9})
+	b, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 4, Seed: 9}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSelectAllAlgorithmsRun(t *testing.T) {
 	algos := []Algorithm{GreedyShrink, GreedyShrinkLazy, GreedyShrinkNaive, BruteForce, MRRGreedy, SkyDom, KHit, GreedyAdd}
 	arr := map[Algorithm]float64{}
 	for _, a := range algos {
-		res, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 3, Seed: 5, Algorithm: a, SampleSize: 400})
+		res, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 3, Seed: 5, Algorithm: a, SampleSize: 400}, Exec{})
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -142,7 +142,7 @@ func TestSelectDP2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 3, Seed: 1, Algorithm: DP2D, SampleSize: 5000})
+	res, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 3, Seed: 1, Algorithm: DP2D, SampleSize: 5000}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSelectDP2D(t *testing.T) {
 		t.Fatalf("exact %v vs sampled %v", res.ExactARR, res.Metrics.ARR)
 	}
 	// DP is optimal: no sampled algorithm may do meaningfully better.
-	gs, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 3, Seed: 1, Algorithm: GreedyShrink, SampleSize: 5000})
+	gs, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 3, Seed: 1, Algorithm: GreedyShrink, SampleSize: 5000}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSelectNonMonotoneSkipsSkyline(t *testing.T) {
 	if pipe.TrainRMSE <= 0 {
 		t.Fatalf("rmse = %v", pipe.TrainRMSE)
 	}
-	res, err := SelectWithOptions(ctx, pipe.Items, pipe.Dist, SelectOptions{K: 5, Seed: 3, SampleSize: 800})
+	res, _, err := Select(ctx, Query{Data: pipe.Items, Dist: pipe.Dist, K: 5, Seed: 3, SampleSize: 800}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestSelectTableDistribution(t *testing.T) {
 		Labels: []string{"Holiday Inn", "Shangri la", "Intercontinental", "Hilton"},
 		Points: [][]float64{{0}, {1}, {2}, {3}},
 	}
-	res, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 2, Seed: 4, SampleSize: 4000, Algorithm: BruteForce})
+	res, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 2, Seed: 4, SampleSize: 4000, Algorithm: BruteForce}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSelectTableDistribution(t *testing.T) {
 	best := res.Metrics.ARR
 	for a := 0; a < 4; a++ {
 		for b := a + 1; b < 4; b++ {
-			m, err := EvaluateWithOptions(ctx, ds, dist, []int{a, b}, SelectOptions{Seed: 4, SampleSize: 4000})
+			m, err := Evaluate(ctx, Query{Data: ds, Dist: dist, ExplicitSet: []int{a, b}, Seed: 4, SampleSize: 4000}, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,15 +239,15 @@ func TestSelectTableDistribution(t *testing.T) {
 func TestEvaluateValidation(t *testing.T) {
 	ctx := context.Background()
 	ds, dist := hotelSetup(t)
-	if _, err := EvaluateWithOptions(ctx, nil, dist, []int{0}, SelectOptions{}); err == nil {
+	if _, err := Evaluate(ctx, Query{Dist: dist, ExplicitSet: []int{0}}, Exec{}); err == nil {
 		t.Fatal("nil dataset must error")
 	}
-	if _, err := EvaluateWithOptions(ctx, ds, dist, nil, SelectOptions{}); err == nil {
+	if _, err := Evaluate(ctx, Query{Data: ds, Dist: dist, ExplicitSet: nil}, Exec{}); err == nil {
 		t.Fatal("empty set must error")
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := EvaluateWithOptions(cctx, ds, dist, []int{0}, SelectOptions{}); err == nil {
+	if _, err := Evaluate(cctx, Query{Data: ds, Dist: dist, ExplicitSet: []int{0}}, Exec{}); err == nil {
 		t.Fatal("canceled context must error")
 	}
 }
@@ -298,7 +298,7 @@ func TestSelectCESDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 4, Seed: 2, SampleSize: 500})
+	res, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 4, Seed: 2, SampleSize: 500}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestSelectCESDistribution(t *testing.T) {
 		t.Fatalf("skyline not applied for CES: %d", res.SkylineSize)
 	}
 	// MRRGreedy under CES must fall back to the sampled variant (and run).
-	res2, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 4, Seed: 2, SampleSize: 500, Algorithm: MRRGreedy})
+	res2, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 4, Seed: 2, SampleSize: 500, Algorithm: MRRGreedy}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestSelectCESDistribution(t *testing.T) {
 func TestSelectDisableSkyline(t *testing.T) {
 	ctx := context.Background()
 	ds, dist := hotelSetup(t)
-	res, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 3, Seed: 1, DisableSkyline: true, SampleSize: 300})
+	res, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 3, Seed: 1, DisableSkyline: true, SampleSize: 300}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +341,11 @@ func TestSkylineRestrictionPreservesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withSky, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 5, Seed: 8, SampleSize: 600})
+	withSky, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 5, Seed: 8, SampleSize: 600}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := SelectWithOptions(ctx, ds, dist, SelectOptions{K: 5, Seed: 8, SampleSize: 600, DisableSkyline: true})
+	without, _, err := Select(ctx, Query{Data: ds, Dist: dist, K: 5, Seed: 8, SampleSize: 600, DisableSkyline: true}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

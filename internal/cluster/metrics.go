@@ -1,17 +1,17 @@
 package cluster
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
+
+	"github.com/regretlab/fam/internal/prom"
 )
 
 // This file implements the router's GET /metrics: Prometheus text
-// exposition (version 0.0.4), zero external dependencies, same
-// conventions as the replica's fam_* series. The per-replica series
+// exposition (version 0.0.4) written through internal/prom, the same
+// writer as the replica's fam_* series. The per-replica series
 // are the observable proof of the failure-handling contract: a killed
 // replica shows famrouter_replica_up dropping to 0, its
 // transitions_total advancing, and routed_total flat while the
@@ -39,65 +39,19 @@ import (
 //	famrouter_replica_failed_total       (replica)  counter
 //	famrouter_replica_transitions_total  (replica)  counter
 
-// requestBuckets are the upper bounds (seconds) of the request
-// latency histogram; +Inf is implicit as the final bucket.
-var requestBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 10}
-
 // decisionBuckets bound the routing-decision histogram: decisions are
 // map lookups and ring walks, so the scale is microseconds.
 var decisionBuckets = []float64{1e-6, 5e-6, 25e-6, 1e-4, 1e-3, 1e-2}
 
-// histogram is a fixed-bucket latency accumulator.
-type histogram struct {
-	buckets []uint64 // len(bounds)+1; last = +Inf
-	sum     float64
-	count   uint64
-}
-
-func newHistogram(bounds []float64) *histogram {
-	return &histogram{buckets: make([]uint64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(bounds []float64, seconds float64) {
-	h.sum += seconds
-	h.count++
-	for i, bound := range bounds {
-		if seconds <= bound {
-			h.buckets[i]++
-			return
-		}
-	}
-	h.buckets[len(bounds)]++
-}
-
-// write renders the histogram's exposition lines under an inner label
-// list (as produced by labelKV; "" for no labels).
-func (h *histogram) write(w *expWriter, name, inner string, bounds []float64) {
-	cum := uint64(0)
-	for i, bound := range bounds {
-		cum += h.buckets[i]
-		w.sample(name+"_bucket", mergeLabels(inner, "le", formatValue(bound)), float64(cum))
-	}
-	cum += h.buckets[len(bounds)]
-	w.sample(name+"_bucket", mergeLabels(inner, "le", "+Inf"), float64(cum))
-	w.sample(name+"_sum", labelString(inner), h.sum)
-	w.sample(name+"_count", labelString(inner), float64(h.count))
-}
-
-// endpointStats accumulates one route's request counts and latency.
-type endpointStats struct {
-	codes map[int]uint64
-	dur   *histogram
-}
-
 // routerMetrics is the router-level accounting behind /metrics. A
-// plain mutex over small maps — the critical section is a few map
+// plain mutex over a small map — the critical section is a few map
 // operations, dwarfed by the forwarded request itself.
 type routerMetrics struct {
+	requests prom.Requests
+
 	mu        sync.Mutex
-	endpoints map[string]*endpointStats
 	decisions map[string]uint64
-	decideDur *histogram
+	decideDur *prom.Histogram
 
 	retries            atomic.Uint64
 	scatterBatches     atomic.Uint64
@@ -106,23 +60,9 @@ type routerMetrics struct {
 
 func newRouterMetrics() *routerMetrics {
 	return &routerMetrics{
-		endpoints: map[string]*endpointStats{},
 		decisions: map[string]uint64{},
-		decideDur: newHistogram(decisionBuckets),
+		decideDur: prom.NewHistogram(decisionBuckets),
 	}
-}
-
-// record accounts one served request under its route pattern.
-func (m *routerMetrics) record(endpoint string, code int, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	es := m.endpoints[endpoint]
-	if es == nil {
-		es = &endpointStats{codes: map[int]uint64{}, dur: newHistogram(requestBuckets)}
-		m.endpoints[endpoint] = es
-	}
-	es.codes[code]++
-	es.dur.observe(requestBuckets, seconds)
 }
 
 // decision accounts one routing decision under its reason.
@@ -130,95 +70,16 @@ func (m *routerMetrics) decision(reason string, seconds float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.decisions[reason]++
-	m.decideDur.observe(decisionBuckets, seconds)
-}
-
-// statusRecorder captures the response status for request metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(status int) {
-	r.status = status
-	r.ResponseWriter.WriteHeader(status)
-}
-
-// expWriter accumulates exposition lines; the # TYPE header is
-// emitted once per metric family, on its first sample.
-type expWriter struct {
-	sb    strings.Builder
-	typed map[string]bool
-}
-
-func newExpWriter() *expWriter {
-	return &expWriter{typed: map[string]bool{}}
-}
-
-func (w *expWriter) family(name, kind, help string) {
-	if w.typed[name] {
-		return
-	}
-	w.typed[name] = true
-	fmt.Fprintf(&w.sb, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-}
-
-func (w *expWriter) sample(name, labelSet string, value float64) {
-	fmt.Fprintf(&w.sb, "%s%s %s\n", name, labelSet, formatValue(value))
-}
-
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-// labelKV renders key/value pairs as the inner label list (no braces),
-// sorted for deterministic output.
-func labelKV(kv ...string) string {
-	pairs := make([]string, 0, len(kv)/2)
-	for i := 0; i+1 < len(kv); i += 2 {
-		pairs = append(pairs, fmt.Sprintf("%s=%q", kv[i], escapeLabel(kv[i+1])))
-	}
-	sort.Strings(pairs)
-	return strings.Join(pairs, ",")
-}
-
-// labelString wraps an inner label list in braces ("" stays "").
-func labelString(inner string) string {
-	if inner == "" {
-		return ""
-	}
-	return "{" + inner + "}"
-}
-
-// mergeLabels appends one more pair to an inner label list and wraps.
-func mergeLabels(inner, key, value string) string {
-	pair := fmt.Sprintf("%s=%q", key, escapeLabel(value))
-	if inner == "" {
-		return "{" + pair + "}"
-	}
-	return "{" + inner + "," + pair + "}"
-}
-
-// formatValue renders a sample value: integral values without an
-// exponent (counter deltas stay grep-able in CI smoke checks), the
-// rest in Go's shortest float form.
-func formatValue(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
+	m.decideDur.Observe(seconds)
 }
 
 // handleMetrics serves the router's GET /metrics.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	out := newExpWriter()
+	out := prom.NewWriter()
 
 	// Identity and topology.
-	out.family("famrouter_policy_info", "gauge", "Active routing policy (constant 1; the policy is the label).")
-	out.sample("famrouter_policy_info", labelString(labelKV("policy", rt.policy.Name())), 1)
+	out.Family("famrouter_policy_info", "gauge", "Active routing policy (constant 1; the policy is the label).")
+	out.Sample("famrouter_policy_info", prom.Labels("policy", rt.policy.Name()), 1)
 	replicas := rt.sortedReplicas()
 	up := 0
 	for _, rep := range replicas {
@@ -226,85 +87,63 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			up++
 		}
 	}
-	out.family("famrouter_replicas", "gauge", "Registered replicas.")
-	out.sample("famrouter_replicas", "", float64(len(replicas)))
-	out.family("famrouter_replicas_up", "gauge", "Currently routable replicas.")
-	out.sample("famrouter_replicas_up", "", float64(up))
+	out.Family("famrouter_replicas", "gauge", "Registered replicas.")
+	out.Sample("famrouter_replicas", "", float64(len(replicas)))
+	out.Family("famrouter_replicas_up", "gauge", "Currently routable replicas.")
+	out.Sample("famrouter_replicas_up", "", float64(up))
 
 	// Per-replica state: the failure-transition evidence.
-	out.family("famrouter_replica_up", "gauge", "Replica routable state (1 = routable), by replica.")
-	out.family("famrouter_replica_inflight", "gauge", "Requests the router holds open against the replica.")
-	out.family("famrouter_replica_queue_depth", "gauge", "Replica queue depth from its last health check.")
-	out.family("famrouter_replica_shed_rate", "gauge", "Replica windowed shed rate from its last health check.")
-	out.family("famrouter_replica_result_hit_rate", "gauge", "Replica result-cache hit rate from its last health check.")
-	out.family("famrouter_replica_routed_total", "counter", "Requests forwarded to the replica that reached it.")
-	out.family("famrouter_replica_retried_total", "counter", "Requests that reached the replica as a retry of another replica's failure.")
-	out.family("famrouter_replica_failed_total", "counter", "Forwards that failed at the transport layer, by replica.")
-	out.family("famrouter_replica_transitions_total", "counter", "Up/down transitions observed for the replica.")
+	out.Family("famrouter_replica_up", "gauge", "Replica routable state (1 = routable), by replica.")
+	out.Family("famrouter_replica_inflight", "gauge", "Requests the router holds open against the replica.")
+	out.Family("famrouter_replica_queue_depth", "gauge", "Replica queue depth from its last health check.")
+	out.Family("famrouter_replica_shed_rate", "gauge", "Replica windowed shed rate from its last health check.")
+	out.Family("famrouter_replica_result_hit_rate", "gauge", "Replica result-cache hit rate from its last health check.")
+	out.Family("famrouter_replica_routed_total", "counter", "Requests forwarded to the replica that reached it.")
+	out.Family("famrouter_replica_retried_total", "counter", "Requests that reached the replica as a retry of another replica's failure.")
+	out.Family("famrouter_replica_failed_total", "counter", "Forwards that failed at the transport layer, by replica.")
+	out.Family("famrouter_replica_transitions_total", "counter", "Up/down transitions observed for the replica.")
 	for _, rep := range replicas {
-		ls := labelString(labelKV("replica", rep.Name))
+		ls := prom.Labels("replica", rep.Name)
 		upVal := 0.0
 		if rep.Up() {
 			upVal = 1
 		}
-		out.sample("famrouter_replica_up", ls, upVal)
-		out.sample("famrouter_replica_inflight", ls, float64(rep.Inflight()))
+		out.Sample("famrouter_replica_up", ls, upVal)
+		out.Sample("famrouter_replica_inflight", ls, float64(rep.Inflight()))
 		if h := rep.Health(); h != nil {
-			out.sample("famrouter_replica_queue_depth", ls, float64(h.QueueDepth))
-			out.sample("famrouter_replica_shed_rate", ls, h.ShedRate)
-			out.sample("famrouter_replica_result_hit_rate", ls, h.ResultHitRate)
+			out.Sample("famrouter_replica_queue_depth", ls, float64(h.QueueDepth))
+			out.Sample("famrouter_replica_shed_rate", ls, h.ShedRate)
+			out.Sample("famrouter_replica_result_hit_rate", ls, h.ResultHitRate)
 		}
-		out.sample("famrouter_replica_routed_total", ls, float64(rep.routed.Load()))
-		out.sample("famrouter_replica_retried_total", ls, float64(rep.retried.Load()))
-		out.sample("famrouter_replica_failed_total", ls, float64(rep.failed.Load()))
-		out.sample("famrouter_replica_transitions_total", ls, float64(rep.transitions.Load()))
+		out.Sample("famrouter_replica_routed_total", ls, float64(rep.routed.Load()))
+		out.Sample("famrouter_replica_retried_total", ls, float64(rep.retried.Load()))
+		out.Sample("famrouter_replica_failed_total", ls, float64(rep.failed.Load()))
+		out.Sample("famrouter_replica_transitions_total", ls, float64(rep.transitions.Load()))
 	}
 
 	// Routing decisions and scatter volume.
-	out.family("famrouter_retries_total", "counter", "Forward attempts made after another replica's transport failure.")
-	out.sample("famrouter_retries_total", "", float64(rt.metrics.retries.Load()))
-	out.family("famrouter_scatter_batches_total", "counter", "v2 batches served through scatter-gather.")
-	out.sample("famrouter_scatter_batches_total", "", float64(rt.metrics.scatterBatches.Load()))
-	out.family("famrouter_scatter_subrequests_total", "counter", "Sub-batches forwarded by scatter-gather.")
-	out.sample("famrouter_scatter_subrequests_total", "", float64(rt.metrics.scatterSubrequests.Load()))
+	out.Family("famrouter_retries_total", "counter", "Forward attempts made after another replica's transport failure.")
+	out.Sample("famrouter_retries_total", "", float64(rt.metrics.retries.Load()))
+	out.Family("famrouter_scatter_batches_total", "counter", "v2 batches served through scatter-gather.")
+	out.Sample("famrouter_scatter_batches_total", "", float64(rt.metrics.scatterBatches.Load()))
+	out.Family("famrouter_scatter_subrequests_total", "counter", "Sub-batches forwarded by scatter-gather.")
+	out.Sample("famrouter_scatter_subrequests_total", "", float64(rt.metrics.scatterSubrequests.Load()))
 
 	rt.metrics.mu.Lock()
-	out.family("famrouter_route_decisions_total", "counter", "Routing decisions, by reason the policy gave.")
+	out.Family("famrouter_route_decisions_total", "counter", "Routing decisions, by reason the policy gave.")
 	reasons := make([]string, 0, len(rt.metrics.decisions))
 	for reason := range rt.metrics.decisions {
 		reasons = append(reasons, reason)
 	}
 	sort.Strings(reasons)
 	for _, reason := range reasons {
-		out.sample("famrouter_route_decisions_total", labelString(labelKV("reason", reason)), float64(rt.metrics.decisions[reason]))
+		out.Sample("famrouter_route_decisions_total", prom.Labels("reason", reason), float64(rt.metrics.decisions[reason]))
 	}
-	out.family("famrouter_route_decision_seconds", "histogram", "Time spent picking a replica per decision.")
-	rt.metrics.decideDur.write(out, "famrouter_route_decision_seconds", "", decisionBuckets)
-
-	// HTTP: per-endpoint request counters and latency histograms.
-	out.family("famrouter_requests_total", "counter", "Requests served, by route pattern and status code.")
-	out.family("famrouter_request_duration_seconds", "histogram", "Request latency, by route pattern.")
-	endpoints := make([]string, 0, len(rt.metrics.endpoints))
-	for ep := range rt.metrics.endpoints {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		es := rt.metrics.endpoints[ep]
-		codes := make([]int, 0, len(es.codes))
-		for code := range es.codes {
-			codes = append(codes, code)
-		}
-		sort.Ints(codes)
-		for _, code := range codes {
-			out.sample("famrouter_requests_total",
-				labelString(labelKV("endpoint", ep, "code", fmt.Sprintf("%d", code))), float64(es.codes[code]))
-		}
-		es.dur.write(out, "famrouter_request_duration_seconds", labelKV("endpoint", ep), requestBuckets)
-	}
+	out.Family("famrouter_route_decision_seconds", "histogram", "Time spent picking a replica per decision.")
+	rt.metrics.decideDur.Write(out, "famrouter_route_decision_seconds")
 	rt.metrics.mu.Unlock()
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(out.sb.String()))
+	// HTTP: per-endpoint request counters and latency histograms.
+	rt.metrics.requests.Write(out, "famrouter_")
+	out.Serve(w)
 }

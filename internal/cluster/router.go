@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/regretlab/fam/internal/obs"
+	"github.com/regretlab/fam/internal/prom"
 	"github.com/regretlab/fam/serve"
 )
 
@@ -128,10 +129,10 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(serve.HeaderTrace, col.TraceID())
 		w.Header().Set(serve.HeaderTraceparent, obs.FormatTraceparent(col.TraceID(), root.SpanID))
 	}
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	rec := &prom.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 	begin := rt.clock()
 	rt.mux.ServeHTTP(rec, r.WithContext(ctx))
-	rt.metrics.record(pattern, rec.status, rt.clock().Sub(begin).Seconds())
+	rt.metrics.requests.Record(pattern, rec.Status, rt.clock().Sub(begin).Seconds())
 }
 
 // inboundTrace mirrors the replica's header contract: X-Fam-Trace

@@ -9,13 +9,13 @@ import (
 	"github.com/regretlab/fam/internal/utility"
 )
 
-// ErrBadOptions is returned when a Query (or legacy SelectOptions) is
-// invalid: K out of bounds, Epsilon or Sigma outside (0, 1), a negative
-// SampleSize or a resolved sample size above maxSampleSize, an unknown
-// Algorithm, a distribution whose dimension does not match the dataset,
-// or ExactDiscrete with a non-discrete distribution. Match it with errors.Is; the wrapped message names the
-// offending field. Bad requests fail here — before any sampling,
-// preprocessing, or cache traffic.
+// ErrBadOptions is returned when a Query is invalid: K out of bounds,
+// Epsilon or Sigma outside (0, 1), a negative SampleSize or a resolved
+// sample size above maxSampleSize, an unknown Algorithm, a distribution
+// whose dimension does not match the dataset, or ExactDiscrete with a
+// non-discrete distribution. Match it with errors.Is; the wrapped
+// message names the offending field. Bad requests fail here — before
+// any sampling, preprocessing, or cache traffic.
 var ErrBadOptions = errors.New("fam: bad options")
 
 // normalized is the validated, resolved form of a Query that Select,

@@ -14,30 +14,31 @@ func TestSelectBadOptionsTyped(t *testing.T) {
 	ds, dist := hotelSetup(t)
 	cases := []struct {
 		name string
-		opts SelectOptions
+		q    Query
 	}{
-		{"k zero", SelectOptions{K: 0}},
-		{"k negative", SelectOptions{K: -3}},
-		{"k beyond n", SelectOptions{K: ds.N() + 1}},
-		{"unknown algorithm", SelectOptions{K: 3, Algorithm: Algorithm(42)}},
-		{"negative algorithm", SelectOptions{K: 3, Algorithm: Algorithm(-1)}},
-		{"epsilon too large", SelectOptions{K: 3, Epsilon: 1}},
-		{"epsilon negative", SelectOptions{K: 3, Epsilon: -0.1}},
-		{"sigma too large", SelectOptions{K: 3, Sigma: 2}},
-		{"negative sample size", SelectOptions{K: 3, SampleSize: -10}},
-		{"exact discrete on continuous dist", SelectOptions{K: 3, ExactDiscrete: true}},
+		{"k zero", Query{K: 0}},
+		{"k negative", Query{K: -3}},
+		{"k beyond n", Query{K: ds.N() + 1}},
+		{"unknown algorithm", Query{K: 3, Algorithm: Algorithm(42)}},
+		{"negative algorithm", Query{K: 3, Algorithm: Algorithm(-1)}},
+		{"epsilon too large", Query{K: 3, Epsilon: 1}},
+		{"epsilon negative", Query{K: 3, Epsilon: -0.1}},
+		{"sigma too large", Query{K: 3, Sigma: 2}},
+		{"negative sample size", Query{K: 3, SampleSize: -10}},
+		{"exact discrete on continuous dist", Query{K: 3, ExactDiscrete: true}},
 	}
 	for _, tc := range cases {
-		if _, err := SelectWithOptions(ctx, ds, dist, tc.opts); !errors.Is(err, ErrBadOptions) {
+		tc.q.Data, tc.q.Dist = ds, dist
+		if _, _, err := Select(ctx, tc.q, Exec{}); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("Select %s: err = %v, want ErrBadOptions", tc.name, err)
 		}
 	}
 
 	// Evaluate shares the normalization but ignores K and Algorithm.
-	if _, err := EvaluateWithOptions(ctx, ds, dist, []int{0, 1}, SelectOptions{Epsilon: 3}); !errors.Is(err, ErrBadOptions) {
+	if _, err := Evaluate(ctx, Query{Data: ds, Dist: dist, ExplicitSet: []int{0, 1}, Epsilon: 3}, Exec{}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("Evaluate bad epsilon: want ErrBadOptions")
 	}
-	if _, err := EvaluateWithOptions(ctx, ds, dist, []int{0, 1}, SelectOptions{K: -5, SampleSize: 50}); err != nil {
+	if _, err := Evaluate(ctx, Query{Data: ds, Dist: dist, ExplicitSet: []int{0, 1}, K: -5, SampleSize: 50}, Exec{}); err != nil {
 		t.Errorf("Evaluate must ignore K: %v", err)
 	}
 
@@ -46,12 +47,12 @@ func TestSelectBadOptionsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SelectWithOptions(ctx, ds, wrongDim, SelectOptions{K: 3}); !errors.Is(err, ErrBadOptions) {
+	if _, _, err := Select(ctx, Query{Data: ds, Dist: wrongDim, K: 3}, Exec{}); !errors.Is(err, ErrBadOptions) {
 		t.Errorf("dimension mismatch: want ErrBadOptions, got %v", err)
 	}
 
 	// Nil arguments keep their own sentinel.
-	if _, err := SelectWithOptions(ctx, nil, dist, SelectOptions{K: 3}); !errors.Is(err, ErrNilArgument) {
+	if _, _, err := Select(ctx, Query{Dist: dist, K: 3}, Exec{}); !errors.Is(err, ErrNilArgument) {
 		t.Errorf("nil dataset: want ErrNilArgument, got %v", err)
 	}
 }
@@ -82,22 +83,21 @@ func TestParseAlgorithmRoundTrip(t *testing.T) {
 // on: defaults (ε = σ = 0.1 → 691) and explicit overrides.
 func TestSampleSizeDefaults(t *testing.T) {
 	ds, dist := hotelSetup(t)
-	toQuery := func(o SelectOptions) Query { q, _ := o.Split(); return q }
-	norm, err := normalizeQuery(ds, dist, toQuery(SelectOptions{K: 3}), true)
+	norm, err := normalizeQuery(ds, dist, Query{K: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if norm.sampleSize != 691 {
 		t.Fatalf("default sample size = %d, want 691", norm.sampleSize)
 	}
-	norm, err = normalizeQuery(ds, dist, toQuery(SelectOptions{K: 3, SampleSize: 77}), true)
+	norm, err = normalizeQuery(ds, dist, Query{K: 3, SampleSize: 77}, true)
 	if err != nil || norm.sampleSize != 77 {
 		t.Fatalf("explicit sample size = %d (%v), want 77", norm.sampleSize, err)
 	}
 	if !norm.useSkyline {
 		t.Fatal("monotone linear Θ must enable the skyline restriction")
 	}
-	norm, err = normalizeQuery(ds, dist, toQuery(SelectOptions{K: 3, Algorithm: SkyDom}), true)
+	norm, err = normalizeQuery(ds, dist, Query{K: 3, Algorithm: SkyDom}, true)
 	if err != nil || norm.useSkyline {
 		t.Fatalf("SkyDom must bypass the skyline restriction (%v)", err)
 	}

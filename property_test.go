@@ -61,7 +61,7 @@ func TestCrossAlgorithmInvariantsProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := SelectOptions{K: k, Seed: seed, SampleSize: N}
+		base := Query{Data: ds, Dist: dist, K: k, Seed: seed, SampleSize: N}
 
 		// Random-set baseline on the same sampled users: the mean ARR of
 		// ten uniformly drawn K-subsets (seeded — the harness is
@@ -70,7 +70,9 @@ func TestCrossAlgorithmInvariantsProperty(t *testing.T) {
 		var randomARR float64
 		const draws = 10
 		for d := 0; d < draws; d++ {
-			m, err := EvaluateWithOptions(ctx, ds, dist, randomSubset(g, n, k), opts)
+			q := base
+			q.ExplicitSet = randomSubset(g, n, k)
+			m, err := Evaluate(ctx, q, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,11 +80,11 @@ func TestCrossAlgorithmInvariantsProperty(t *testing.T) {
 		}
 		randomARR /= draws
 
-		results := make(map[Algorithm]*LegacyResult, len(propertyAlgos))
+		results := make(map[Algorithm]*Result, len(propertyAlgos))
 		for _, pa := range propertyAlgos {
-			o := opts
-			o.Algorithm = pa.algo
-			res, err := SelectWithOptions(ctx, ds, dist, o)
+			q := base
+			q.Algorithm = pa.algo
+			res, _, err := Select(ctx, q, Exec{})
 			if err != nil {
 				t.Fatalf("trial %d (n=%d k=%d): %s: %v", trial, n, k, pa.algo, err)
 			}

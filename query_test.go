@@ -71,83 +71,12 @@ func TestQueryFingerprintCanonical(t *testing.T) {
 	}
 }
 
-// TestSelectOptionsSplit pins the shim mapping: every semantic field
-// lands in the Query, every execution field in the Exec.
-func TestSelectOptionsSplit(t *testing.T) {
-	opts := SelectOptions{
-		K: 5, Algorithm: GreedyShrinkLazy, Epsilon: 0.2, Sigma: 0.3,
-		SampleSize: 42, Seed: 9, DisableSkyline: true, CacheBudget: 77,
-		ExactDiscrete: true, Parallelism: 8, LazyBatch: 4,
-	}
-	q, exec := opts.Split()
-	want := Query{
-		K: 5, Algorithm: GreedyShrinkLazy, Epsilon: 0.2, Sigma: 0.3,
-		SampleSize: 42, Seed: 9, DisableSkyline: true, CacheBudget: 77,
-		ExactDiscrete: true,
-	}
-	if q.K != want.K || q.Algorithm != want.Algorithm || q.Epsilon != want.Epsilon ||
-		q.Sigma != want.Sigma || q.SampleSize != want.SampleSize || q.Seed != want.Seed ||
-		q.DisableSkyline != want.DisableSkyline || q.CacheBudget != want.CacheBudget ||
-		q.ExactDiscrete != want.ExactDiscrete {
-		t.Fatalf("Split query = %+v, want %+v", q, want)
-	}
-	if q.Data != nil || q.Dist != nil || q.Dataset != "" || q.ExplicitSet != nil {
-		t.Fatalf("Split must not bind data: %+v", q)
-	}
-	if exec.Parallelism != 8 || exec.LazyBatch != 4 {
-		t.Fatalf("Split exec = %+v", exec)
-	}
-}
-
-// TestShimMatchesSplitAPI: the deprecated combined entry point and the
-// split API must return bit-identical outcomes — the shim is a pure
-// repackaging.
-func TestShimMatchesSplitAPI(t *testing.T) {
-	ctx := context.Background()
+// TestSelectRejectsEvaluationQuery: Select rejects evaluation queries
+// instead of silently ignoring the set.
+func TestSelectRejectsEvaluationQuery(t *testing.T) {
 	ds, dist := hotelSetup(t)
-	opts := SelectOptions{K: 4, Seed: 3, SampleSize: 150, Algorithm: GreedyAdd, Parallelism: 2}
-
-	legacy, err := SelectWithOptions(ctx, ds, dist, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, exec := opts.Split()
-	q.Data, q.Dist = ds, dist
-	res, tel, err := Select(ctx, q, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Indices) != len(legacy.Indices) {
-		t.Fatalf("split %v vs shim %v", res.Indices, legacy.Indices)
-	}
-	for i := range legacy.Indices {
-		if res.Indices[i] != legacy.Indices[i] || res.Labels[i] != legacy.Labels[i] {
-			t.Fatalf("split %v vs shim %v", res.Indices, legacy.Indices)
-		}
-	}
-	if res.Metrics.ARR != legacy.Metrics.ARR || res.SkylineSize != legacy.SkylineSize {
-		t.Fatalf("split metrics %v vs shim %v", res.Metrics.ARR, legacy.Metrics.ARR)
-	}
-	if tel.Stats != legacy.Stats {
-		t.Fatalf("split stats %+v vs shim %+v", tel.Stats, legacy.Stats)
-	}
-
-	m, err := EvaluateWithOptions(ctx, ds, dist, legacy.Indices, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.ExplicitSet = legacy.Indices
-	m2, err := Evaluate(ctx, q, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ARR != m2.ARR || m.VRR != m2.VRR {
-		t.Fatalf("evaluate split %v vs shim %v", m2, m)
-	}
-
-	// Select rejects evaluation queries instead of silently ignoring the
-	// set.
-	if _, _, err := Select(ctx, q, exec); !errors.Is(err, ErrBadOptions) {
+	q := Query{Data: ds, Dist: dist, K: 4, Seed: 3, SampleSize: 150, ExplicitSet: []int{0, 1}}
+	if _, _, err := Select(context.Background(), q, Exec{}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("Select with ExplicitSet: %v", err)
 	}
 }

@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
 	"runtime"
 	"sort"
-	"strings"
-	"sync"
 
 	fam "github.com/regretlab/fam"
+	"github.com/regretlab/fam/internal/prom"
 )
 
 // BuildVersion labels fam_build_info. Override at link time:
@@ -18,8 +16,8 @@ var BuildVersion = "dev"
 
 // This file implements GET /metrics: the Prometheus text exposition
 // (version 0.0.4) of the engine's scheduling, cache, and planner
-// counters plus the handler's per-endpoint request accounting — with
-// zero external dependencies. The per-class scheduling series are the
+// counters plus the handler's per-endpoint request accounting, written
+// through internal/prom. The per-class scheduling series are the
 // observable proof of the deficit-bounded starvation fix: under any
 // sustained priority mix, every class's fam_sched_granted_total keeps
 // advancing.
@@ -67,116 +65,6 @@ var BuildVersion = "dev"
 // queue has observed, so a cold scrape already exposes every label a
 // dashboard will query.
 
-// durationBuckets are the upper bounds (seconds) of the request
-// latency histogram; +Inf is implicit as the final bucket.
-var durationBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 10}
-
-// endpointMetrics accumulates one route's request counts by status
-// code and its latency histogram.
-type endpointMetrics struct {
-	codes   map[int]uint64
-	buckets []uint64 // len(durationBuckets)+1; last = +Inf
-	sum     float64
-	count   uint64
-}
-
-// httpMetrics is the handler-level request accounting behind
-// /metrics. A plain mutex over small maps: the critical section is a
-// few map operations, far off any hot path the engine itself owns.
-type httpMetrics struct {
-	mu        sync.Mutex
-	endpoints map[string]*endpointMetrics
-}
-
-func newHTTPMetrics() *httpMetrics {
-	return &httpMetrics{endpoints: map[string]*endpointMetrics{}}
-}
-
-// record accounts one served request under its route pattern.
-func (m *httpMetrics) record(endpoint string, code int, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	em := m.endpoints[endpoint]
-	if em == nil {
-		em = &endpointMetrics{codes: map[int]uint64{}, buckets: make([]uint64, len(durationBuckets)+1)}
-		m.endpoints[endpoint] = em
-	}
-	em.codes[code]++
-	em.sum += seconds
-	em.count++
-	for i, bound := range durationBuckets {
-		if seconds <= bound {
-			em.buckets[i]++
-			return
-		}
-	}
-	em.buckets[len(durationBuckets)]++
-}
-
-// statusRecorder captures the response status for the request metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(status int) {
-	r.status = status
-	r.ResponseWriter.WriteHeader(status)
-}
-
-// metricsWriter accumulates exposition lines; the # TYPE header is
-// emitted once per metric family, on its first sample.
-type metricsWriter struct {
-	sb    strings.Builder
-	typed map[string]bool
-}
-
-func newMetricsWriter() *metricsWriter {
-	return &metricsWriter{typed: map[string]bool{}}
-}
-
-func (w *metricsWriter) family(name, kind, help string) {
-	if w.typed[name] {
-		return
-	}
-	w.typed[name] = true
-	fmt.Fprintf(&w.sb, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-}
-
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-// labels renders a label set in deterministic (sorted) order.
-func labels(kv ...string) string {
-	if len(kv) == 0 {
-		return ""
-	}
-	pairs := make([]string, 0, len(kv)/2)
-	for i := 0; i+1 < len(kv); i += 2 {
-		pairs = append(pairs, fmt.Sprintf("%s=%q", kv[i], escapeLabel(kv[i+1])))
-	}
-	sort.Strings(pairs)
-	return "{" + strings.Join(pairs, ",") + "}"
-}
-
-func (w *metricsWriter) sample(name, labelSet string, value float64) {
-	fmt.Fprintf(&w.sb, "%s%s %s\n", name, labelSet, formatValue(value))
-}
-
-// formatValue renders a sample value: integral values without an
-// exponent (counter deltas stay grep-able in CI smoke checks), the
-// rest in Go's shortest float form.
-func formatValue(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
-}
-
 // schedClasses returns the union of the built-in class names and every
 // class observed by the queue, sorted — the stable label universe of
 // the per-class series.
@@ -196,52 +84,52 @@ func schedClasses(per map[string]fam.SchedClassStats) []string {
 // handleMetrics serves GET /metrics.
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	stats := h.engine.Stats()
-	out := newMetricsWriter()
+	out := prom.NewWriter()
 
 	// Scheduling: the per-class proof of the starvation bound.
-	out.family("fam_sched_granted_total", "counter", "Helper requests granted to a pool worker, by priority class.")
-	out.family("fam_sched_shed_total", "counter", "Requests rejected by deadline admission control, by priority class.")
-	out.family("fam_sched_stale_total", "counter", "Queued helper tickets discarded because their call had finished, by priority class.")
-	out.family("fam_sched_queue_wait_seconds_total", "counter", "Summed enqueue-to-grant wait of granted requests, by priority class.")
-	out.family("fam_sched_queue_depth", "gauge", "Currently queued helper requests, by priority class.")
+	out.Family("fam_sched_granted_total", "counter", "Helper requests granted to a pool worker, by priority class.")
+	out.Family("fam_sched_shed_total", "counter", "Requests rejected by deadline admission control, by priority class.")
+	out.Family("fam_sched_stale_total", "counter", "Queued helper tickets discarded because their call had finished, by priority class.")
+	out.Family("fam_sched_queue_wait_seconds_total", "counter", "Summed enqueue-to-grant wait of granted requests, by priority class.")
+	out.Family("fam_sched_queue_depth", "gauge", "Currently queued helper requests, by priority class.")
 	for _, class := range schedClasses(stats.Sched.PerClass) {
 		cs := stats.Sched.PerClass[class]
-		ls := labels("class", class)
-		out.sample("fam_sched_granted_total", ls, float64(cs.Granted))
-		out.sample("fam_sched_shed_total", ls, float64(cs.Shed))
-		out.sample("fam_sched_stale_total", ls, float64(cs.Stale))
-		out.sample("fam_sched_queue_wait_seconds_total", ls, cs.QueueWait.Seconds())
-		out.sample("fam_sched_queue_depth", ls, float64(cs.Depth))
+		ls := prom.Labels("class", class)
+		out.Sample("fam_sched_granted_total", ls, float64(cs.Granted))
+		out.Sample("fam_sched_shed_total", ls, float64(cs.Shed))
+		out.Sample("fam_sched_stale_total", ls, float64(cs.Stale))
+		out.Sample("fam_sched_queue_wait_seconds_total", ls, cs.QueueWait.Seconds())
+		out.Sample("fam_sched_queue_depth", ls, float64(cs.Depth))
 	}
-	out.family("fam_sched_deficit_grants_total", "counter", "Grants where an overdue lighter class was served ahead of a heavier one (starvation relief).")
-	out.sample("fam_sched_deficit_grants_total", "", float64(stats.Sched.DeficitGrants))
-	out.family("fam_sched_policy_info", "gauge", "Active grant policy (constant 1; the policy is the label).")
-	out.sample("fam_sched_policy_info", labels("policy", stats.Sched.Policy), 1)
+	out.Family("fam_sched_deficit_grants_total", "counter", "Grants where an overdue lighter class was served ahead of a heavier one (starvation relief).")
+	out.Sample("fam_sched_deficit_grants_total", "", float64(stats.Sched.DeficitGrants))
+	out.Family("fam_sched_policy_info", "gauge", "Active grant policy (constant 1; the policy is the label).")
+	out.Sample("fam_sched_policy_info", prom.Labels("policy", stats.Sched.Policy), 1)
 
 	// Caches: the prep and result caches side by side.
-	out.family("fam_cache_hits_total", "counter", "Cache hits, by cache.")
-	out.family("fam_cache_misses_total", "counter", "Cache misses, by cache.")
-	out.family("fam_cache_coalesced_total", "counter", "Lookups that joined an in-flight build instead of duplicating it, by cache.")
-	out.family("fam_cache_evictions_total", "counter", "Entries evicted by the size policy, by cache.")
-	out.family("fam_cache_expired_total", "counter", "Entries dropped by TTL expiry, by cache.")
-	out.family("fam_cache_errors_total", "counter", "Failed fills (not cached), by cache.")
-	out.family("fam_cache_entries", "gauge", "Live cache entries, by cache.")
-	out.family("fam_cache_bytes", "gauge", "Bytes held by live cache entries, by cache.")
-	out.family("fam_cache_max_bytes", "gauge", "Configured byte capacity (0 = unbounded), by cache.")
+	out.Family("fam_cache_hits_total", "counter", "Cache hits, by cache.")
+	out.Family("fam_cache_misses_total", "counter", "Cache misses, by cache.")
+	out.Family("fam_cache_coalesced_total", "counter", "Lookups that joined an in-flight build instead of duplicating it, by cache.")
+	out.Family("fam_cache_evictions_total", "counter", "Entries evicted by the size policy, by cache.")
+	out.Family("fam_cache_expired_total", "counter", "Entries dropped by TTL expiry, by cache.")
+	out.Family("fam_cache_errors_total", "counter", "Failed fills (not cached), by cache.")
+	out.Family("fam_cache_entries", "gauge", "Live cache entries, by cache.")
+	out.Family("fam_cache_bytes", "gauge", "Bytes held by live cache entries, by cache.")
+	out.Family("fam_cache_max_bytes", "gauge", "Configured byte capacity (0 = unbounded), by cache.")
 	for _, c := range []struct {
 		name string
 		s    fam.CacheStats
 	}{{"prep", stats.PrepCache}, {"result", stats.ResultCache}} {
-		ls := labels("cache", c.name)
-		out.sample("fam_cache_hits_total", ls, float64(c.s.Hits))
-		out.sample("fam_cache_misses_total", ls, float64(c.s.Misses))
-		out.sample("fam_cache_coalesced_total", ls, float64(c.s.Coalesced))
-		out.sample("fam_cache_evictions_total", ls, float64(c.s.Evictions))
-		out.sample("fam_cache_expired_total", ls, float64(c.s.Expired))
-		out.sample("fam_cache_errors_total", ls, float64(c.s.Errors))
-		out.sample("fam_cache_entries", ls, float64(c.s.Entries))
-		out.sample("fam_cache_bytes", ls, float64(c.s.Bytes))
-		out.sample("fam_cache_max_bytes", ls, float64(c.s.MaxBytes))
+		ls := prom.Labels("cache", c.name)
+		out.Sample("fam_cache_hits_total", ls, float64(c.s.Hits))
+		out.Sample("fam_cache_misses_total", ls, float64(c.s.Misses))
+		out.Sample("fam_cache_coalesced_total", ls, float64(c.s.Coalesced))
+		out.Sample("fam_cache_evictions_total", ls, float64(c.s.Evictions))
+		out.Sample("fam_cache_expired_total", ls, float64(c.s.Expired))
+		out.Sample("fam_cache_errors_total", ls, float64(c.s.Errors))
+		out.Sample("fam_cache_entries", ls, float64(c.s.Entries))
+		out.Sample("fam_cache_bytes", ls, float64(c.s.Bytes))
+		out.Sample("fam_cache_max_bytes", ls, float64(c.s.MaxBytes))
 	}
 
 	// Engine: query and batch-planner counters.
@@ -258,69 +146,37 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"fam_engine_plan_groups_total", "Instance groups formed by the batch planner.", float64(stats.PlanGroups)},
 	}
 	for _, c := range engineCounters {
-		out.family(c.name, "counter", c.help)
-		out.sample(c.name, "", c.value)
+		out.Family(c.name, "counter", c.help)
+		out.Sample(c.name, "", c.value)
 	}
-	out.family("fam_engine_pool_workers", "gauge", "Workers of the engine's shared pool.")
-	out.sample("fam_engine_pool_workers", "", float64(stats.PoolWorkers))
-	out.family("fam_engine_datasets", "gauge", "Registered datasets.")
-	out.sample("fam_engine_datasets", "", float64(stats.Datasets))
-	out.family("fam_engine_uptime_seconds", "gauge", "Seconds since the engine was built.")
-	out.sample("fam_engine_uptime_seconds", "", stats.Uptime.Seconds())
-	out.family("fam_http_uploads_total", "counter", "Datasets accepted through dataset upload.")
-	out.sample("fam_http_uploads_total", "", float64(h.uploads.Load()))
+	out.Family("fam_engine_pool_workers", "gauge", "Workers of the engine's shared pool.")
+	out.Sample("fam_engine_pool_workers", "", float64(stats.PoolWorkers))
+	out.Family("fam_engine_datasets", "gauge", "Registered datasets.")
+	out.Sample("fam_engine_datasets", "", float64(stats.Datasets))
+	out.Family("fam_engine_uptime_seconds", "gauge", "Seconds since the engine was built.")
+	out.Sample("fam_engine_uptime_seconds", "", stats.Uptime.Seconds())
+	out.Family("fam_http_uploads_total", "counter", "Datasets accepted through dataset upload.")
+	out.Sample("fam_http_uploads_total", "", float64(h.uploads.Load()))
 
 	// Build identity and Go runtime health.
-	out.family("fam_build_info", "gauge", "Build identity (constant 1; the version labels carry the information).")
-	out.sample("fam_build_info", labels("version", BuildVersion, "go_version", runtime.Version()), 1)
+	out.Family("fam_build_info", "gauge", "Build identity (constant 1; the version labels carry the information).")
+	out.Sample("fam_build_info", prom.Labels("version", BuildVersion, "go_version", runtime.Version()), 1)
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	out.family("fam_go_goroutines", "gauge", "Live goroutines.")
-	out.sample("fam_go_goroutines", "", float64(runtime.NumGoroutine()))
-	out.family("fam_go_heap_alloc_bytes", "gauge", "Bytes of allocated heap objects.")
-	out.sample("fam_go_heap_alloc_bytes", "", float64(mem.HeapAlloc))
-	out.family("fam_go_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.")
-	out.sample("fam_go_gc_pause_seconds_total", "", float64(mem.PauseTotalNs)/1e9)
+	out.Family("fam_go_goroutines", "gauge", "Live goroutines.")
+	out.Sample("fam_go_goroutines", "", float64(runtime.NumGoroutine()))
+	out.Family("fam_go_heap_alloc_bytes", "gauge", "Bytes of allocated heap objects.")
+	out.Sample("fam_go_heap_alloc_bytes", "", float64(mem.HeapAlloc))
+	out.Family("fam_go_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.")
+	out.Sample("fam_go_gc_pause_seconds_total", "", float64(mem.PauseTotalNs)/1e9)
 
 	// Tracing: span volume and slow-query count.
-	out.family("fam_trace_spans_total", "counter", "Spans collected by finished request traces.")
-	out.sample("fam_trace_spans_total", "", float64(h.traceSpans.Load()))
-	out.family("fam_slow_queries_total", "counter", "Query requests slower than the slow-query threshold.")
-	out.sample("fam_slow_queries_total", "", float64(h.slowQueries.Load()))
+	out.Family("fam_trace_spans_total", "counter", "Spans collected by finished request traces.")
+	out.Sample("fam_trace_spans_total", "", float64(h.traceSpans.Load()))
+	out.Family("fam_slow_queries_total", "counter", "Query requests slower than the slow-query threshold.")
+	out.Sample("fam_slow_queries_total", "", float64(h.slowQueries.Load()))
 
 	// HTTP: per-endpoint request counters and latency histograms.
-	out.family("fam_http_requests_total", "counter", "Requests served, by route pattern and status code.")
-	out.family("fam_http_request_duration_seconds", "histogram", "Request latency, by route pattern.")
-	h.metrics.mu.Lock()
-	endpoints := make([]string, 0, len(h.metrics.endpoints))
-	for ep := range h.metrics.endpoints {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		em := h.metrics.endpoints[ep]
-		codes := make([]int, 0, len(em.codes))
-		for code := range em.codes {
-			codes = append(codes, code)
-		}
-		sort.Ints(codes)
-		for _, code := range codes {
-			out.sample("fam_http_requests_total", labels("endpoint", ep, "code", fmt.Sprintf("%d", code)), float64(em.codes[code]))
-		}
-		cum := uint64(0)
-		for i, bound := range durationBuckets {
-			cum += em.buckets[i]
-			out.sample("fam_http_request_duration_seconds_bucket",
-				labels("endpoint", ep, "le", formatValue(bound)), float64(cum))
-		}
-		cum += em.buckets[len(durationBuckets)]
-		out.sample("fam_http_request_duration_seconds_bucket", labels("endpoint", ep, "le", "+Inf"), float64(cum))
-		out.sample("fam_http_request_duration_seconds_sum", labels("endpoint", ep), em.sum)
-		out.sample("fam_http_request_duration_seconds_count", labels("endpoint", ep), float64(em.count))
-	}
-	h.metrics.mu.Unlock()
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(out.sb.String()))
+	h.metrics.Write(out, "fam_http_")
+	out.Serve(w)
 }

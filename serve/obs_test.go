@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +234,11 @@ func TestServeSlogRequestLine(t *testing.T) {
 		t.Fatalf("v2 error envelope = %+v, want bad_request with request_id", envelope)
 	}
 
+	// The handler writes its log line after the response body is sent,
+	// so close the server (which waits for outstanding handlers) before
+	// reading the buffer, and order the lines by request ID — its
+	// zero-padded sequence is the arrival order.
+	srv.Close()
 	type reqLine struct {
 		Msg       string  `json:"msg"`
 		RequestID string  `json:"request_id"`
@@ -255,6 +261,7 @@ func TestServeSlogRequestLine(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("logged %d request lines, want 2:\n%s", len(lines), logBuf.String())
 	}
+	sort.Slice(lines, func(i, j int) bool { return lines[i].RequestID < lines[j].RequestID })
 	good, bad := lines[0], lines[1]
 	if good.Endpoint != "POST /v2/select" || good.Status != http.StatusOK || good.RequestID == "" {
 		t.Fatalf("good request line = %+v", good)

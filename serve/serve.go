@@ -52,6 +52,7 @@ import (
 	fam "github.com/regretlab/fam"
 	"github.com/regretlab/fam/internal/load"
 	"github.com/regretlab/fam/internal/obs"
+	"github.com/regretlab/fam/internal/prom"
 )
 
 // QueryRequest is the JSON shape of one semantic query: the v2 batch
@@ -572,7 +573,7 @@ type Handler struct {
 
 	// metrics backs GET /metrics: per-endpoint request counters and
 	// latency histograms (see metrics.go for the full series list).
-	metrics *httpMetrics
+	metrics prom.Requests
 
 	// shed backs /healthz's windowed shed rate: per-second buckets of
 	// query requests and their 429 answers (see health.go).
@@ -594,7 +595,7 @@ func NewHandlerConfig(e *fam.Engine, cfg HandlerConfig) *Handler {
 	if cfg.MaxBatchQueries <= 0 {
 		cfg.MaxBatchQueries = DefaultMaxBatchQueries
 	}
-	h := &Handler{engine: e, cfg: cfg, mux: http.NewServeMux(), metrics: newHTTPMetrics()}
+	h := &Handler{engine: e, cfg: cfg, mux: http.NewServeMux()}
 	h.clock = cfg.Clock
 	if h.clock == nil {
 		h.clock = time.Now
@@ -668,17 +669,17 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderTraceparent, obs.FormatTraceparent(col.TraceID(), root.SpanID))
 	}
 
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	rec := &prom.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 	start := h.clock()
 	h.mux.ServeHTTP(rec, r.WithContext(ctx))
 	dur := h.clock().Sub(start)
-	h.metrics.record(pattern, rec.status, dur.Seconds())
+	h.metrics.Record(pattern, rec.Status, dur.Seconds())
 	if query {
-		h.shed.note(h.clock(), rec.status == http.StatusTooManyRequests)
+		h.shed.note(h.clock(), rec.Status == http.StatusTooManyRequests)
 	}
 
 	if root != nil {
-		root.SetAttrInt("status", rec.status)
+		root.SetAttrInt("status", rec.Status)
 		root.End()
 		h.traceSpans.Add(uint64(col.SpanCount()))
 		slow := query && h.cfg.SlowQuery > 0 && dur >= h.cfg.SlowQuery
@@ -691,7 +692,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				TraceID:   col.TraceID(),
 				RequestID: reqID,
 				Endpoint:  pattern,
-				Status:    rec.status,
+				Status:    rec.Status,
 				DurMS:     float64(dur) / 1e6,
 				Slow:      slow,
 				Sampled:   sampled,
@@ -704,7 +705,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.String("request_id", reqID),
 			slog.String("trace_id", col.TraceID()),
 			slog.String("endpoint", pattern),
-			slog.Int("status", rec.status),
+			slog.Int("status", rec.Status),
 			slog.Float64("dur_ms", float64(dur)/1e6))
 	}
 }
