@@ -15,9 +15,11 @@ import (
 //
 // so all candidate evaluations are available from one accumulator array
 // rc[p] that is maintained incrementally: a user's contribution moves only
-// when their best or second-best point is removed. Each iteration is
-// O(|S|) to pick the argmin plus O(|S|) per affected user to rescan,
-// and the paper observes only ≈1% of users are affected per iteration.
+// when their best or second-best point is removed. The argmin of rc is
+// kept by a tournament tree (minTree), so each iteration is O(log|S|) to
+// pick the argmin and O(log|S|) per rc write, plus O(|S|) per affected
+// user to rescan; the paper observes only ≈1% of users are affected per
+// iteration.
 //
 // Parallelism: the per-user scans (initialization and the per-iteration
 // rescans) are pure reads of the utility matrix and the alive set, so they
@@ -108,6 +110,7 @@ func deltaShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, 
 		}
 	}
 
+	argmin := newMinTree(rc)
 	rescan := make([]int32, 0, N) // users needing a second-best refresh
 	for set.count > k {
 		if err := ctx.Err(); err != nil {
@@ -125,13 +128,9 @@ func deltaShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, 
 		_, round := obs.Start(ctx, "round")
 		round.SetAttrInt("iter", stats.Iterations)
 		round.SetAttrInt("evals", set.count)
-		chosen := -1
-		for _, p32 := range set.list {
-			if p := int(p32); chosen == -1 || rc[p] < rc[chosen] {
-				chosen = p
-			}
-		}
+		chosen := argmin.argmin()
 		set.remove(chosen)
+		argmin.kill(chosen)
 
 		// Users whose best point was removed: promote their second-best,
 		// rescan for a fresh pair, and move their rc contribution. The
@@ -157,6 +156,7 @@ func deltaShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, 
 			second[u], secondVal[u] = p.b2, p.v2
 			if p.b1 >= 0 {
 				rc[p.b1] += in.Weight(int(u)) * (p.v1 - p.v2) / in.satD[u]
+				argmin.fix(int(p.b1))
 				usersByBest[p.b1] = append(usersByBest[p.b1], u)
 				if p.b2 >= 0 {
 					usersBySecond[p.b2] = append(usersBySecond[p.b2], u)
@@ -196,6 +196,7 @@ func deltaShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, 
 			oldV2 := secondVal[u]
 			second[u], secondVal[u] = p.b2, p.v2
 			rc[best[u]] += in.Weight(int(u)) * (oldV2 - p.v2) / in.satD[u]
+			argmin.fix(int(best[u]))
 			if p.b2 >= 0 {
 				usersBySecond[p.b2] = append(usersBySecond[p.b2], u)
 			}

@@ -13,7 +13,9 @@ import (
 // Improvement 1 (best-point calculation): each user's best point within the
 // current set S is cached; evaluating arr(S−{p}) only touches the users
 // whose cached best point is p (for everyone else the satisfaction is
-// unchanged), and each touched user rescans S−{p} once.
+// unchanged), and each touched user rescans S−{p} once. The cache starts
+// from the preprocessing best points (Instance.bestD), since S = D
+// before the first removal.
 //
 // Improvement 2 (computation based on the previous iteration): evaluation
 // values computed in earlier iterations are kept in a min-priority queue.
@@ -49,17 +51,17 @@ func lazyShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, e
 	best := make([]int32, N)
 	bestVal := make([]float64, N)
 	usersByBest := make([][]int32, n)
-	var arrSum float64 // Σ_u rr(S,u), unnormalized by N
+	var arrSum float64 // Σ_u rr(S,u), unnormalized by N; arr(D) = 0
 
+	// S starts as the whole database, so each user's best point in S is
+	// the one preprocessing already found (Section III-D2): the same
+	// ascending visit order, strict > rule and stored values as rowMax
+	// over the full alive list, without a second N×n pass.
 	for u := 0; u < N; u++ {
-		if in.satD[u] <= 0 {
-			best[u] = -1
-			continue
+		best[u], bestVal[u] = in.bestD[u], in.satD[u]
+		if bi := best[u]; bi >= 0 {
+			usersByBest[bi] = append(usersByBest[bi], int32(u))
 		}
-		bi, bv := in.rowMax(u, set.list)
-		best[u], bestVal[u] = bi, bv
-		usersByBest[bi] = append(usersByBest[bi], int32(u))
-		arrSum += in.Weight(u) * (in.satD[u] - bv) / in.satD[u]
 	}
 
 	// evaluate returns the unnormalized arr of S−{p} and the number of

@@ -4,8 +4,9 @@
 // reporting solver ns/op together with the deterministic candidate
 // counts (skyline and coreset sizes). famexp -kernel-bench emits the
 // report and gates it against a committed baseline: candidate counts
-// must match exactly (they are machine-independent), and solver time
-// may not regress beyond the gate fraction.
+// must match exactly (they are machine-independent), and solver time,
+// rescaled by a host probe timed in both runs, may not regress beyond
+// the gate fraction.
 package kernelbench
 
 import (
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"time"
 
 	fam "github.com/regretlab/fam"
@@ -52,7 +54,11 @@ type Row struct {
 type Report struct {
 	SchemaVersion int    `json:"schema_version"`
 	Label         string `json:"label,omitempty"`
-	Rows          []Row  `json:"rows"`
+	// ProbeNs is the median time of the single-threaded host probe,
+	// timed before every variant of the run: Gate's measure of how fast
+	// the host ran.
+	ProbeNs int64 `json:"probe_ns,omitempty"`
+	Rows    []Row `json:"rows"`
 }
 
 // variant is one sweep entry; runs is the best-of count (wall-clock
@@ -67,11 +73,11 @@ type variant struct {
 }
 
 // sweep returns the variants for maxN, the largest dataset size to
-// include. The greedy-shrink delta strategy is omitted from the
-// unpruned 10⁵ row (quadratic in the 7k-point skyline) and every
-// unpruned variant is omitted at 10⁶, where only the coreset makes the
-// GREEDY-SHRINK family feasible; the NoSky row demonstrates the coreset
-// pruning 10⁶ raw candidates without skyline help.
+// include. Every unpruned variant is omitted at 10⁶, where only the
+// coreset makes the GREEDY-SHRINK family feasible; the NoSky row
+// demonstrates the coreset pruning 10⁶ raw candidates without skyline
+// help. The unpruned 10⁵ rows run the solvers on the whole 7k-point
+// skyline, which the delta strategy's O(log|S|) argmin keeps cheap.
 func sweep(maxN int) []variant {
 	var out []variant
 	shrinkFamily := []fam.Algorithm{fam.GreedyShrink, fam.GreedyShrinkLazy, fam.GreedyAdd}
@@ -86,10 +92,9 @@ func sweep(maxN int) []variant {
 	}
 	if maxN >= 100_000 {
 		for _, a := range shrinkFamily {
-			if a != fam.GreedyShrink {
-				out = append(out, variant{n: 100_000, corr: fam.Anticorrelated, algo: a, coreset: false, runs: 5})
-			}
-			out = append(out, variant{n: 100_000, corr: fam.Anticorrelated, algo: a, coreset: true, runs: 5})
+			out = append(out,
+				variant{n: 100_000, corr: fam.Anticorrelated, algo: a, coreset: false, runs: 5},
+				variant{n: 100_000, corr: fam.Anticorrelated, algo: a, coreset: true, runs: 5})
 		}
 	}
 	if maxN >= 1_000_000 {
@@ -128,7 +133,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	datasets := map[int]*fam.Dataset{}
 	rep := &Report{SchemaVersion: SchemaVersion}
+	probe := newHostProbe()
+	var probes []int64
 	for _, v := range sweep(cfg.MaxN) {
+		probes = append(probes, probe.run())
 		ds, ok := datasets[v.n]
 		if !ok {
 			var err error
@@ -173,6 +181,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
+	sort.Slice(probes, func(i, j int) bool { return probes[i] < probes[j] })
+	rep.ProbeNs = probes[len(probes)/2]
+	if cfg.Log != nil {
+		fmt.Fprintf(cfg.Log, "host probe: median %v over %d probes\n", time.Duration(rep.ProbeNs), len(probes))
+	}
 	return rep, nil
 }
 
@@ -212,8 +225,20 @@ func (rep *Report) Write(path string) error {
 // and may not regress solver time by more than the gate fraction
 // (benchstat-style, per row). Rows only one side has are ignored, so a
 // reduced-scale CI run gates against a full-scale committed baseline.
+//
+// Solver times are compared at the run's host speed: each baseline time
+// is first scaled by run.ProbeNs / base.ProbeNs, so a baseline recorded
+// on a faster or quieter host does not fail an unchanged solver. With
+// the timing gate on (gate > 0), a report without a probe is rejected.
 // Returns the human-readable failures, empty when the gate passes.
 func Gate(run, base *Report, gate float64) []string {
+	hostScale := 1.0
+	if gate > 0 {
+		if base.ProbeNs <= 0 || run.ProbeNs <= 0 {
+			return []string{"probe_ns missing: solver times cannot be compared across hosts; regenerate the baseline"}
+		}
+		hostScale = float64(run.ProbeNs) / float64(base.ProbeNs)
+	}
 	baseRows := make(map[string]Row, len(base.Rows))
 	for _, r := range base.Rows {
 		baseRows[r.key()] = r
@@ -229,11 +254,11 @@ func Gate(run, base *Report, gate float64) []string {
 				"%s: candidate counts diverged from baseline: skyline %d→%d, coreset %d→%d",
 				r.key(), b.SkylineSize, r.SkylineSize, b.Candidates, r.Candidates))
 		}
-		if gate > 0 && b.NsPerOp > 0 && float64(r.NsPerOp) > float64(b.NsPerOp)*(1+gate) {
+		if scaled := float64(b.NsPerOp) * hostScale; gate > 0 && b.NsPerOp > 0 && float64(r.NsPerOp) > scaled*(1+gate) {
 			failures = append(failures, fmt.Sprintf(
-				"%s: solver time regressed %.1f%% (baseline %v, run %v, gate %.0f%%)",
-				r.key(), 100*(float64(r.NsPerOp)/float64(b.NsPerOp)-1),
-				time.Duration(b.NsPerOp), time.Duration(r.NsPerOp), 100*gate))
+				"%s: solver time regressed %.1f%% (baseline %v at this host's speed ×%.2f = %v, run %v, gate %.0f%%)",
+				r.key(), 100*(float64(r.NsPerOp)/scaled-1),
+				time.Duration(b.NsPerOp), hostScale, time.Duration(scaled), time.Duration(r.NsPerOp), 100*gate))
 		}
 	}
 	return failures

@@ -12,7 +12,7 @@ func row(n int, algo string, coreset bool, sky, cand int, ns int64) Row {
 }
 
 func TestGate(t *testing.T) {
-	base := &Report{SchemaVersion: SchemaVersion, Rows: []Row{
+	base := &Report{SchemaVersion: SchemaVersion, ProbeNs: 20_000_000, Rows: []Row{
 		row(10_000, "greedy-shrink", true, 2618, 909, 1_000_000),
 		row(100_000, "greedy-shrink", true, 7159, 2400, 5_000_000),
 	}}
@@ -23,7 +23,7 @@ func TestGate(t *testing.T) {
 	}
 
 	// Timing within the gate fraction passes; beyond it fails.
-	run := &Report{SchemaVersion: SchemaVersion, Rows: []Row{
+	run := &Report{SchemaVersion: SchemaVersion, ProbeNs: base.ProbeNs, Rows: []Row{
 		row(10_000, "greedy-shrink", true, 2618, 909, 1_100_000),
 	}}
 	if f := Gate(run, base, 0.15); len(f) != 0 {
@@ -52,8 +52,45 @@ func TestGate(t *testing.T) {
 	}
 }
 
+// The timing gate compares solver times at the run's host speed: the
+// baseline is scaled by the ratio of the two runs' probe times.
+func TestGateHostProbe(t *testing.T) {
+	base := &Report{SchemaVersion: SchemaVersion, ProbeNs: 20_000_000, Rows: []Row{
+		row(100_000, "greedy-shrink", false, 7159, -1, 10_000_000),
+	}}
+	run := func(probeNs, ns int64) *Report {
+		return &Report{SchemaVersion: SchemaVersion, ProbeNs: probeNs, Rows: []Row{
+			row(100_000, "greedy-shrink", false, 7159, -1, ns),
+		}}
+	}
+
+	// A 30% slower solver on an equally fast host fails.
+	if f := Gate(run(20_000_000, 13_000_000), base, 0.15); len(f) != 1 {
+		t.Fatalf("30%% slowdown at equal probe produced %d failures, want 1: %v", len(f), f)
+	}
+	// An unchanged solver on a host 1.8× slower passes: its probe and
+	// its solver slow down together.
+	if f := Gate(run(36_000_000, 18_000_000), base, 0.15); len(f) != 0 {
+		t.Fatalf("equal speed under a 1.8× slower probe failed: %v", f)
+	}
+	// ...and a 30% slower solver on that slower host still fails.
+	if f := Gate(run(36_000_000, 23_400_000), base, 0.15); len(f) != 1 {
+		t.Fatalf("30%% slowdown under a 1.8× slower probe produced %d failures, want 1: %v", len(f), f)
+	}
+
+	// A baseline without a probe cannot be rescaled, so the timing gate
+	// rejects it; the count-only gate does not need one.
+	noProbe := &Report{SchemaVersion: SchemaVersion, Rows: base.Rows}
+	if f := Gate(run(20_000_000, 10_000_000), noProbe, 0.15); len(f) != 1 {
+		t.Fatalf("baseline without probe_ns produced %d failures, want 1: %v", len(f), f)
+	}
+	if f := Gate(run(20_000_000, 10_000_000), noProbe, 0); len(f) != 0 {
+		t.Fatalf("count-only gate needed a probe: %v", f)
+	}
+}
+
 func TestReportRoundTrip(t *testing.T) {
-	rep := &Report{SchemaVersion: SchemaVersion, Label: "t", Rows: []Row{
+	rep := &Report{SchemaVersion: SchemaVersion, Label: "t", ProbeNs: 20_000_000, Rows: []Row{
 		row(10_000, "greedy-shrink", true, 2618, 909, 1_000_000),
 	}}
 	path := filepath.Join(t.TempDir(), "BENCH_kernel.json")
@@ -64,7 +101,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 1 || got.Rows[0] != rep.Rows[0] || got.Label != "t" {
+	if len(got.Rows) != 1 || got.Rows[0] != rep.Rows[0] || got.Label != "t" || got.ProbeNs != rep.ProbeNs {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 

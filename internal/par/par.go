@@ -63,6 +63,11 @@ func Bounded(requested, items int) int {
 // pre-canceled context never starts work and a mid-run cancellation is
 // always reported. The returned error is ctx.Err() or nil — worker
 // results travel through caller-owned slices indexed by item or worker.
+//
+// A panic in a block does not kill the process from its shard goroutine:
+// every block's panic is recovered, the join still completes, and the
+// panic of the lowest-numbered panicking block is then re-raised on the
+// calling goroutine, where the caller's own recover can see it.
 func Shards(ctx context.Context, workers, n int, fn func(w, lo, hi int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -76,15 +81,45 @@ func Shards(ctx context.Context, workers, n int, fn func(w, lo, hi int)) error {
 		return ctx.Err()
 	}
 	var wg sync.WaitGroup
+	var bp blockPanic
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+		go bp.run(&wg, fn, w, w*n/workers, (w+1)*n/workers)
 	}
 	wg.Wait()
+	bp.rethrow()
 	return ctx.Err()
+}
+
+// blockPanic carries a panic out of a fan-out's blocks: each block
+// recovers its own panic so the join completes (and a pool helper
+// survives), and the caller re-raises it after the join.
+type blockPanic struct {
+	mu  sync.Mutex
+	w   int // block that raised val
+	val any // nil while no block has panicked
+}
+
+// run executes block w of fn, records a panic instead of letting it
+// unwind the goroutine, and marks the block done in every case.
+func (bp *blockPanic) run(wg *sync.WaitGroup, fn func(w, lo, hi int), w, lo, hi int) {
+	defer wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			bp.mu.Lock()
+			if bp.val == nil || w < bp.w {
+				bp.w, bp.val = w, r
+			}
+			bp.mu.Unlock()
+		}
+	}()
+	fn(w, lo, hi)
+}
+
+// rethrow re-panics with the lowest-numbered block's panic value, if
+// any. Call it after the join.
+func (bp *blockPanic) rethrow() {
+	if bp.val != nil {
+		panic(bp.val)
+	}
 }

@@ -155,7 +155,9 @@ func (p *Pool) Close() {
 // helpers plus the calling goroutine instead of spawning fresh
 // goroutines. A nil receiver delegates to the package-level Shards, so
 // code threaded with an optional pool needs no branching. All block
-// writes happen-before Shards returns.
+// writes happen-before Shards returns. A panicking block is handled as
+// in the package-level Shards: the helper that ran it recovers and keeps
+// serving, and the panic is re-raised on the caller after the join.
 //
 // Scheduling attributes attached to ctx via sched.NewContext order this
 // call's helper requests against other queued work; a deadline that has
@@ -193,6 +195,7 @@ func (p *Pool) Shards(ctx context.Context, workers, n int, fn func(w, lo, hi int
 	// finds the cursor exhausted and returns immediately.
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var bp blockPanic
 	wg.Add(workers)
 	run := func() {
 		for {
@@ -200,8 +203,7 @@ func (p *Pool) Shards(ctx context.Context, workers, n int, fn func(w, lo, hi int
 			if w >= workers {
 				return
 			}
-			fn(w, w*n/workers, (w+1)*n/workers)
-			wg.Done()
+			bp.run(&wg, fn, w, w*n/workers, (w+1)*n/workers)
 		}
 	}
 	call := &sched.Call{}
@@ -218,6 +220,7 @@ func (p *Pool) Shards(ctx context.Context, workers, n int, fn func(w, lo, hi int
 	// queue drops them now — they must not linger inflating the queue
 	// depth that admission control reads.
 	p.queue.FinishCall(call)
+	bp.rethrow()
 	return ctx.Err()
 }
 
