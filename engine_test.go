@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/regretlab/fam/internal/engine"
+	"github.com/regretlab/fam/internal/rng"
 )
 
 // engineFixtures builds the three datasets the engine suites query:
@@ -536,5 +539,42 @@ func TestExecWeightIsExecutionPolicyOnly(t *testing.T) {
 		if base.Indices[i] != weighted.Indices[i] {
 			t.Fatalf("selections differ at %d: %v vs %v", i, base.Indices, weighted.Indices)
 		}
+	}
+}
+
+// panicFunc is a utility function whose every evaluation panics.
+type panicFunc struct{}
+
+func (panicFunc) Value(int, []float64) float64 { panic("boom") }
+
+// panicDist samples only panicFunc.
+type panicDist struct{ d int }
+
+func (panicDist) Sample(*rng.RNG) UtilityFunc { return panicFunc{} }
+func (panicDist) Monotone() bool              { return true }
+func (p panicDist) Dim() int                  { return p.d }
+func (panicDist) Name() string                { return "panic" }
+
+// TestEnginePanickingFillContained: a utility function that panics inside
+// a shared preprocessing fill must fail only its own query, with an error
+// wrapping engine.ErrFillPanic, and leave the engine serving the others.
+func TestEnginePanickingFillContained(t *testing.T) {
+	fixtures := engineFixtures(t)
+	e := newTestEngine(t, fixtures)
+	if err := e.Register("panicky", fixtures[0].ds, panicDist{fixtures[0].ds.Dim()}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		if _, _, err := e.Select(ctx, Query{Dataset: "panicky", K: 3, SampleSize: 50}, Exec{}); !errors.Is(err, engine.ErrFillPanic) {
+			t.Fatalf("attempt %d: err = %v, want engine.ErrFillPanic", i, err)
+		}
+	}
+	if s := e.Stats(); s.PrepCache.Errors == 0 {
+		t.Fatalf("panicked fills not counted as errors: %+v", s.PrepCache)
+	}
+	res, _, err := e.Select(ctx, Query{Dataset: "hotels", K: 3, SampleSize: 50}, Exec{})
+	if err != nil || len(res.Indices) != 3 {
+		t.Fatalf("good query after a panicked fill: (%v, %v)", res, err)
 	}
 }

@@ -10,6 +10,8 @@ package engine
 import (
 	"container/list"
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +66,12 @@ type Config struct {
 	// budget. Nil disables byte accounting.
 	Size func(val any) int64
 }
+
+// ErrFillPanic is the error a fill's requester and every coalesced waiter
+// get when the fill panics. The panic is recovered on the fill goroutine,
+// so it cannot kill the process; the returned error wraps ErrFillPanic
+// and, when the panic value is an error, that error too.
+var ErrFillPanic = errors.New("engine: cache fill panicked")
 
 // call is one in-flight fill that later arrivals for the same key wait
 // on. waiters counts the coalesced arrivals, so the fill can report
@@ -163,7 +171,8 @@ func (c *Cache) lookup(key string) (*entry, bool) {
 // for the same absent key coalesce onto one fill. hit reports whether
 // the value came from the store (false for the filler and for
 // coalesced waiters). Failed fills are not stored and their error goes
-// to every coalesced waiter of that round.
+// to every coalesced waiter of that round; a fill that panics fails with
+// an error wrapping ErrFillPanic.
 func (c *Cache) Do(ctx context.Context, key string, fill func(ctx context.Context) (any, error)) (val any, hit bool, err error) {
 	c.mu.Lock()
 	if en, ok := c.lookup(key); ok {
@@ -193,7 +202,7 @@ func (c *Cache) Do(ctx context.Context, key string, fill func(ctx context.Contex
 		// keeps ctx values — trace spans and scheduling attributes flow into
 		// the fill. The call handle rides along so the fill can ask Waiters
 		// how many arrivals coalesced onto it.
-		v, ferr := fill(context.WithValue(context.WithoutCancel(ctx), sharedKey{}, cl))
+		v, ferr := runFill(context.WithValue(context.WithoutCancel(ctx), sharedKey{}, cl), fill)
 		cl.val, cl.err = v, ferr
 		c.mu.Lock()
 		delete(c.inflight, key)
@@ -212,6 +221,21 @@ func (c *Cache) Do(ctx context.Context, key string, fill func(ctx context.Contex
 	case <-ctx.Done():
 		return nil, false, ctx.Err()
 	}
+}
+
+// runFill calls fill, turning a panic into an error wrapping ErrFillPanic.
+func runFill(ctx context.Context, fill func(ctx context.Context) (any, error)) (v any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			v = nil
+			if rerr, ok := r.(error); ok {
+				err = fmt.Errorf("%w: %w", ErrFillPanic, rerr)
+			} else {
+				err = fmt.Errorf("%w: %v", ErrFillPanic, r)
+			}
+		}
+	}()
+	return fill(ctx)
 }
 
 // store inserts under the lock and evicts the least recently used

@@ -118,6 +118,60 @@ func TestCacheErrorNotStored(t *testing.T) {
 	}
 }
 
+// TestCacheFillPanicContained: a fill that panics must not kill the
+// process. The requester and every coalesced waiter get an error wrapping
+// ErrFillPanic (and the panic value, when it is an error), nothing is
+// stored, and the next Do on the key refills and stores.
+func TestCacheFillPanicContained(t *testing.T) {
+	c := NewCache(0)
+	ctx := context.Background()
+	boom := errors.New("boom")
+	const callers = 3
+	release := make(chan struct{})
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			_, _, err := c.Do(ctx, "k", func(context.Context) (any, error) {
+				<-release
+				panic(boom)
+			})
+			errs <- err
+		}()
+	}
+	// Hold the fill open until the other callers have coalesced onto it.
+	for {
+		s := c.Stats()
+		if s.Misses+s.Coalesced == callers {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < callers; i++ {
+		if err := <-errs; !errors.Is(err, ErrFillPanic) || !errors.Is(err, boom) {
+			t.Fatalf("caller %d: err = %v, want ErrFillPanic wrapping boom", i, err)
+		}
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("a panicked fill was stored")
+	}
+	// A panic value that is not an error is still reported.
+	if _, _, err := c.Do(ctx, "s", func(context.Context) (any, error) { panic("text") }); !errors.Is(err, ErrFillPanic) {
+		t.Fatalf("string panic: err = %v", err)
+	}
+	v, hit, err := c.Do(ctx, "k", func(context.Context) (any, error) { return "ok", nil })
+	if err != nil || hit || v.(string) != "ok" {
+		t.Fatalf("refill = (%v, %v, %v)", v, hit, err)
+	}
+	if v, ok := c.Get("k"); !ok || v.(string) != "ok" {
+		t.Fatalf("refill not stored: (%v, %v)", v, ok)
+	}
+	s := c.Stats()
+	if s.Errors != 2 || s.Misses != 3 || s.Coalesced != callers-1 || s.Entries != 1 {
+		t.Fatalf("stats = %+v, want 2 errors, 3 misses, %d coalesced, 1 entry", s, callers-1)
+	}
+}
+
 // TestCacheCanceledWaiterFillSurvives: a requester that gives up waiting
 // gets its context error, but the detached fill still completes and is
 // stored for the next arrival.

@@ -52,3 +52,28 @@ func BenchmarkComputeOptsIndependent1e6(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(benchSkyline)), "skyline")
 }
+
+// BenchmarkComputeOptsAnticorrelatedD6 times the scan on 2·10⁴
+// anticorrelated 6-d points, where each window row carries two packed
+// code words, serially and at the default worker count.
+func BenchmarkComputeOptsAnticorrelatedD6(b *testing.B) {
+	ds, err := dataset.Synthetic(20_000, 6, dataset.Anticorrelated, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=default", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sky, err := ComputeOpts(context.Background(), ds.Points, ComputeOptions{Workers: bc.workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSkyline = sky
+			}
+			b.ReportMetric(float64(len(benchSkyline)), "skyline")
+		})
+	}
+}

@@ -16,7 +16,8 @@ func TestComputeOptsGridPrefilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := ds.Points
-	keep := gridSurvivors(pts, 4)
+	lo, hi := bounds(pts)
+	keep := gridSurvivors(pts, lo, hi)
 	if 2*len(keep) >= len(pts) {
 		t.Fatalf("prefilter kept %d of %d points, want fewer than half", len(keep), len(pts))
 	}

@@ -32,6 +32,20 @@
 //     mask of attributes j < 6 on which a row reaches the per-attribute
 //     mean. A dominator's mask is a superset of its victim's, so a point
 //     scans only the buckets whose mask contains its own.
+//   - Packed pre-test: each attribute is also mapped to a 15-bit code,
+//     min(int((x−lo)·s), 32767) with s = 32767/(hi−lo) — the grid's cell
+//     map with more cells, so non-decreasing in x by the argument above,
+//     and a dominator's code is never below its victim's on any attribute.
+//     An attribute whose width or scale is not finite and positive codes
+//     to 0 everywhere, a lane that never rejects. Four codes share a
+//     uint64 in 16-bit lanes whose top bit is a guard, ⌈d/4⌉ words per
+//     row, stored beside the window's float rows. A row can dominate q
+//     only if ((r|G) − q) & G == G in every word, G = 0x8000800080008000:
+//     each lane is at most 0x7FFF, so the guarded lane minus q's lane
+//     stays in [1, 0xFFFF], no borrow crosses into the next lane, and the
+//     guard survives iff r's code reaches q's. Only rows that pass go on
+//     to the exact float test, so the answer is unchanged; on
+//     anticorrelated data the pre-test rejects more than 99% of the rows.
 package skyline
 
 import (
@@ -41,6 +55,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/regretlab/fam/internal/bitset"
 	"github.com/regretlab/fam/internal/par"
@@ -89,12 +104,13 @@ type sortKey struct {
 // ComputeOpts is Compute with the SFS window scan parallelized — the
 // preprocessing bottleneck on large anticorrelated datasets, where the
 // skyline (and therefore the window every point is tested against) is
-// huge. It uses the grid prefilter, keyed sort, flat window and mask
-// buckets described in the package comment. The prefilter runs serially
-// after validation and drops provably dominated points, so everything
-// after it — sort, pivot, window and blocks — works on the survivors
-// only; they keep their original indices. The lexicographic tie-break is
-// what keeps the sort dominance-safe: float addition rounds
+// huge. It uses the grid prefilter, keyed sort, flat window, mask buckets
+// and packed pre-test described in the package comment. One pass finds
+// each attribute's bounds for both the grid and the codes. The prefilter
+// runs serially after validation and drops provably dominated points, so
+// everything after it — sort, pivot, window and blocks — works on the
+// survivors only; they keep their original indices. The lexicographic
+// tie-break is what keeps the sort dominance-safe: float addition rounds
 // monotonically, so a dominator's sum is never below its victim's, but
 // rounding or overflow to +Inf can make the two equal.
 //
@@ -107,6 +123,24 @@ type sortKey struct {
 // to ComputeBNL at any worker count. A nil context is treated as
 // background.
 func ComputeOpts(ctx context.Context, points [][]float64, opts ComputeOptions) ([]int, error) {
+	return computeOpts(ctx, points, opts, nil)
+}
+
+// scanCounts tallies the window scan's work: rows whose packed codes were
+// compared, and rows that passed that pre-test and went on to the exact
+// float dominance test.
+type scanCounts struct {
+	rows, exact int
+}
+
+func (c *scanCounts) add(o scanCounts) {
+	c.rows += o.rows
+	c.exact += o.exact
+}
+
+// computeOpts is ComputeOpts, adding the scan's work into counts when it
+// is non-nil. The counts are the same at any worker count.
+func computeOpts(ctx context.Context, points [][]float64, opts ComputeOptions, counts *scanCounts) ([]int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -115,7 +149,9 @@ func ComputeOpts(ctx context.Context, points [][]float64, opts ComputeOptions) (
 	if err != nil {
 		return nil, err
 	}
-	keep := gridSurvivors(points, d)
+	lo, hi := bounds(points)
+	keep := gridSurvivors(points, lo, hi)
+	cm := newCodeMap(lo, hi)
 	n := len(keep)
 	keys := make([]sortKey, n)
 	piv := make([]float64, d)
@@ -152,33 +188,44 @@ func ComputeOpts(ctx context.Context, points [][]float64, opts ComputeOptions) (
 	})
 
 	nb := 1 << min(d, maskBits)
-	buckets := make([][]float64, nb) // bucket m: flat rows of window points with mask m
-	frozen := make([]int, nb)        // bucket lengths at the start of the current block
-	var window []int                 // indices into points, all mutually non-dominated
+	nw := cm.words
+	buckets := make([]bucket, nb) // bucket m: window points with mask m
+	frozen := make([]int, nb)     // bucket row counts at the start of the current block
+	var window []int              // indices into points, all mutually non-dominated
 	survives := make([]bool, computeBlock)
 	masks := make([]int, computeBlock)
+	qcodes := make([]uint64, computeBlock*nw) // the block members' packed codes
+	var countMu sync.Mutex                    // guards counts in the parallel phase
 	for start := 0; start < n; start += computeBlock {
 		block := keys[start:min(start+computeBlock, n)]
-		for m, b := range buckets {
-			frozen[m] = len(b)
+		for m := range buckets {
+			frozen[m] = buckets[m].len(nw)
 		}
 		// Parallel phase: test each block member against the frozen
 		// window. Per-item work is one dominance scan — cheap — so small
 		// blocks shed workers (par.Bounded).
-		nw := par.Bounded(opts.Workers, len(block))
-		if err := opts.Pool.Shards(ctx, nw, len(block), func(w, lo, hi int) {
+		workers := par.Bounded(opts.Workers, len(block))
+		if err := opts.Pool.Shards(ctx, workers, len(block), func(_, lo, hi int) {
+			var sc scanCounts
 			for i := lo; i < hi; i++ {
 				if ctx.Err() != nil {
 					return
 				}
 				q := points[block[i].idx]
+				qc := qcodes[i*nw : (i+1)*nw : (i+1)*nw]
+				cm.encode(q, qc)
 				mq := pivotMask(q, piv)
 				masks[i] = mq
 				dominated := false
 				for m := mq; m < nb && !dominated; m = (m + 1) | mq {
-					dominated = dominatedByRows(buckets[m][:frozen[m]], q)
+					dominated = buckets[m].dominated(0, frozen[m], q, qc, &sc)
 				}
 				survives[i] = !dominated
+			}
+			if counts != nil {
+				countMu.Lock()
+				counts.add(sc)
+				countMu.Unlock()
 			}
 		}); err != nil {
 			return nil, err
@@ -188,30 +235,157 @@ func ComputeOpts(ctx context.Context, points [][]float64, opts ComputeOptions) (
 		// need checking — if the dominator was itself dominated, then by
 		// transitivity a window point dominates this one too, and the
 		// parallel phase already caught it.
+		var sc scanCounts
 		for i, k := range block {
 			if !survives[i] {
 				continue
 			}
 			q := points[k.idx]
+			qc := qcodes[i*nw : (i+1)*nw]
 			mq := masks[i]
 			dominated := false
 			for m := mq; m < nb && !dominated; m = (m + 1) | mq {
-				dominated = dominatedByRows(buckets[m][frozen[m]:], q)
+				dominated = buckets[m].dominated(frozen[m], buckets[m].len(nw), q, qc, &sc)
 			}
 			if !dominated {
-				buckets[mq] = append(buckets[mq], q...)
+				b := &buckets[mq]
+				b.rows = append(b.rows, q...)
+				b.codes = append(b.codes, qc...)
 				window = append(window, k.idx)
 			}
+		}
+		if counts != nil {
+			counts.add(sc)
 		}
 	}
 	sort.Ints(window)
 	return window, nil
 }
 
+// bucket is one mask bucket of the window: its rows stored flat, d values
+// per row, and beside them each row's packed codes, codeMap.words per row.
+type bucket struct {
+	rows  []float64
+	codes []uint64
+}
+
+// len returns the bucket's row count at nw code words per row.
+func (b *bucket) len(nw int) int { return len(b.codes) / nw }
+
+// guards holds the guard bit of each 16-bit lane of a code word.
+const guards = 0x8000_8000_8000_8000
+
+// dominated reports whether one of the bucket's rows [from, to) dominates
+// q, whose packed codes are qc, and adds the rows it tried and the exact
+// tests it ran to sc. A row goes on to the exact test only when its codes
+// reach q's on every lane. The first word, which rejects most rows, is
+// tested on its own; at d ≤ 4 it is the only one.
+func (b *bucket) dominated(from, to int, q []float64, qc []uint64, sc *scanCounts) bool {
+	d, nw, q0 := len(q), len(qc), qc[0]
+	exact := func(r int) bool {
+		sc.exact++
+		off := r * d
+		if point.Dominates(b.rows[off:off+d:off+d], q) {
+			sc.rows += r - from + 1
+			return true
+		}
+		return false
+	}
+	if nw == 1 {
+		for i, c := range b.codes[from:to] {
+			if ((c|guards)-q0)&guards == guards && exact(from+i) {
+				return true
+			}
+		}
+	} else {
+		codes := b.codes[:to*nw]
+		for i := from * nw; i < len(codes); i += nw {
+			if ((codes[i]|guards)-q0)&guards == guards && reaches(codes[i+1:i+nw], qc[1:]) && exact(i/nw) {
+				return true
+			}
+		}
+	}
+	sc.rows += to - from
+	return false
+}
+
+// reaches reports whether every lane of the code words c is at least the
+// matching lane of qc. Each lane is at most codeMax, so setting its guard
+// bit and subtracting never borrows across lanes, and the guard survives
+// iff the lane of c is ≥ that of qc.
+func reaches(c, qc []uint64) bool {
+	acc := uint64(guards)
+	for k, w := range c {
+		acc &= (w | guards) - qc[k]
+	}
+	return acc&guards == guards
+}
+
+// codeMax is the largest 15-bit code.
+const codeMax = 1<<15 - 1
+
+// codeMap maps points to packed 15-bit codes for the window pre-test (see
+// the package comment): attribute j's code is min(int((x−lo[j])·scale[j]),
+// codeMax), four codes per uint64 in 16-bit lanes whose top (guard) bit
+// is clear.
+type codeMap struct {
+	lo, scale []float64 // scale 0: the attribute's code is 0 everywhere
+	words     int       // code words per point, ⌈d/4⌉
+}
+
+// newCodeMap returns the code map over the per-attribute bounds lo, hi.
+func newCodeMap(lo, hi []float64) codeMap {
+	cm := codeMap{lo: lo, scale: make([]float64, len(lo)), words: (len(lo) + 3) / 4}
+	for j := range lo {
+		if s, ok := cellScale(lo[j], hi[j], codeMax); ok {
+			cm.scale[j] = s
+		}
+	}
+	return cm
+}
+
+// encode writes p's packed codes into dst, which has cm.words words.
+func (cm codeMap) encode(p []float64, dst []uint64) {
+	clear(dst)
+	for j, v := range p {
+		if s := cm.scale[j]; s > 0 {
+			// v ≥ lo and 0 < s < ∞, so the product is finite, ≥ 0 and at
+			// most a rounding above codeMax.
+			dst[j/4] |= uint64(min(int((v-cm.lo[j])*s), codeMax)) << (16 * (j % 4))
+		}
+	}
+}
+
+// bounds returns each attribute's minimum and maximum over the points.
+func bounds(points [][]float64) (lo, hi []float64) {
+	lo = slices.Clone(points[0])
+	hi = slices.Clone(points[0])
+	for _, p := range points[1:] {
+		for j, v := range p {
+			lo[j] = min(lo[j], v)
+			hi[j] = max(hi[j], v)
+		}
+	}
+	return lo, hi
+}
+
+// cellScale returns cells/(hi−lo), the scale that cuts [lo, hi] into
+// cells cells, and whether it is usable: the width and the scale must both
+// be finite and positive. A flat attribute leaves no cell strictly above
+// another on it, and a width that overflows, or a scale that does
+// (subnormal widths), would feed NaN to the cell map.
+func cellScale(lo, hi, cells float64) (float64, bool) {
+	finitePositive := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+	w := hi - lo
+	s := cells / w
+	return s, finitePositive(w) && finitePositive(s)
+}
+
 // gridSurvivors returns, in increasing order, the indices of the points
 // that the grid prefilter cannot prove dominated (see the package
-// comment); every index when the grid does not apply. It runs in O(n·d).
-func gridSurvivors(points [][]float64, d int) []int {
+// comment); every index when the grid does not apply. lo and hi are the
+// per-attribute bounds. It runs in O(n·d).
+func gridSurvivors(points [][]float64, lo, hi []float64) []int {
 	all := func() []int {
 		keep := make([]int, len(points))
 		for i := range keep {
@@ -220,29 +394,17 @@ func gridSurvivors(points [][]float64, d int) []int {
 		return keep
 	}
 	n := len(points)
-	side, cells := gridSide(min(n, math.MaxInt32), d) // cell ids fit int32
+	side, cells := gridSide(min(n, math.MaxInt32), len(lo)) // cell ids fit int32
 	if side < 2 {
 		return all()
 	}
-	lo := slices.Clone(points[0])
-	hi := slices.Clone(points[0])
-	for _, p := range points[1:] {
-		for j, v := range p {
-			lo[j] = min(lo[j], v)
-			hi[j] = max(hi[j], v)
-		}
-	}
-	// A flat attribute leaves no cell strictly above another on it, and a
-	// width that overflows, or a scale that does (subnormal widths), would
-	// feed NaN to the cell map.
-	finitePositive := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
-	scale := make([]float64, d)
+	scale := make([]float64, len(lo))
 	for j := range scale {
-		w := hi[j] - lo[j]
-		scale[j] = float64(side) / w
-		if !finitePositive(w) || !finitePositive(scale[j]) {
+		s, ok := cellScale(lo[j], hi[j], float64(side))
+		if !ok {
 			return all()
 		}
+		scale[j] = s
 	}
 
 	// up[i] is the cell one step above point i's on every axis, or -1 when
@@ -324,18 +486,6 @@ func pivotMask(q, piv []float64) int {
 		}
 	}
 	return m
-}
-
-// dominatedByRows reports whether some row of rows — flat, len(q) values
-// per row — dominates q.
-func dominatedByRows(rows, q []float64) bool {
-	d := len(q)
-	for off := 0; off < len(rows); off += d {
-		if point.Dominates(rows[off:off+d:off+d], q) {
-			return true
-		}
-	}
-	return false
 }
 
 // ComputeBNL returns the skyline via the block-nested-loop reference
