@@ -183,7 +183,9 @@ func (e *Engine) Close() {
 // Register adds a named dataset with its utility distribution Θ. The
 // pair is immutable once registered — preprocessing artifacts are cached
 // under the name, so re-registering a name is an error rather than a
-// silent cache poisoning.
+// silent cache poisoning. The points are validated here, once: queries
+// against the name do not re-check them, so a caller must not modify
+// the dataset after registering it.
 func (e *Engine) Register(name string, ds *Dataset, dist Distribution) error {
 	if e.closed.Load() {
 		return ErrEngineClosed
@@ -282,7 +284,7 @@ func (e *Engine) Select(ctx context.Context, q Query, exec Exec) (*Result, *Tele
 	if err != nil {
 		return nil, nil, err
 	}
-	norm, err := normalizeQuery(reg.ds, reg.dist, q, true)
+	norm, err := deriveQuery(reg.ds, reg.dist, q, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -396,7 +398,7 @@ func (e *Engine) evaluate(ctx context.Context, q Query, exec Exec) (Metrics, *re
 	if err != nil {
 		return Metrics{}, nil, nil, err
 	}
-	norm, err := normalizeQuery(reg.ds, reg.dist, q, false)
+	norm, err := deriveQuery(reg.ds, reg.dist, q, false)
 	if err != nil {
 		return Metrics{}, nil, nil, err
 	}

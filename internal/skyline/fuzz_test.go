@@ -64,11 +64,21 @@ func FuzzComputeOpts(f *testing.F) {
 		}
 		f.Add(fuzzBytes(cube))
 	}
+	// Equal-sum points, a duplicate among them, on both sides of the
+	// middle shard boundary of 40 rows (two shards of 20 at two workers).
+	straddle := make([][]float64, 40)
+	for i := range straddle {
+		straddle[i] = []float64{float64(i%7) / 8, float64(i%5) / 8}
+	}
+	straddle[18], straddle[19], straddle[20], straddle[21] = []float64{1, 2}, []float64{2, 1}, []float64{1.5, 1.5}, []float64{1, 2}
+	f.Add(fuzzBytes(straddle))
 	f.Fuzz(func(t *testing.T, data []byte) { matchesBNL(t, fuzzPoints(data)) })
 }
 
-// matchesBNL requires ComputeOpts, serially and at two workers, to return
-// exactly ComputeBNL's skyline of a finite point set; an empty set passes.
+// matchesBNL requires ComputeOpts, serially and at two and four workers, to
+// return exactly ComputeBNL's skyline of a finite point set; an empty set
+// passes. From 2·par.Grain points on, the front end runs in two shards,
+// and from 4·par.Grain on in four.
 func matchesBNL(t *testing.T, pts [][]float64) {
 	t.Helper()
 	if len(pts) == 0 {
@@ -78,7 +88,7 @@ func matchesBNL(t *testing.T, pts [][]float64) {
 	if err != nil {
 		t.Fatalf("ComputeBNL rejected finite input: %v", err)
 	}
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 4} {
 		got, err := ComputeOpts(context.Background(), pts, ComputeOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("ComputeOpts: %v", err)

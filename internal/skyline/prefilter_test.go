@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -16,8 +17,18 @@ func TestComputeOptsGridPrefilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := ds.Points
-	lo, hi := bounds(pts)
-	keep := gridSurvivors(pts, lo, hi)
+	lo, hi, err := validBounds(context.Background(), pts, ComputeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := survivorKeys(context.Background(), pts, lo, hi, ComputeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := make([]int, len(keys))
+	for i, k := range keys {
+		keep[i] = k.idx
+	}
 	if 2*len(keep) >= len(pts) {
 		t.Fatalf("prefilter kept %d of %d points, want fewer than half", len(keep), len(pts))
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/regretlab/fam/internal/dataset"
+	"github.com/regretlab/fam/internal/par"
 	"github.com/regretlab/fam/internal/rng"
 )
 
@@ -136,24 +137,27 @@ func TestPackedPretestLanes(t *testing.T) {
 }
 
 // TestComputeOptsScanCounts pins the window scan's work on 5·10⁴
-// anticorrelated 4-d points at any worker count: the rows whose codes
-// were compared, and the exact float tests that followed. The pre-test
-// must leave at most 2% of the rows to the exact test.
+// anticorrelated 4-d points at any worker count, with or without a pool:
+// the rows whose codes were compared, and the exact float tests that
+// followed. The pre-test must leave at most 2% of the rows to the exact
+// test.
 func TestComputeOptsScanCounts(t *testing.T) {
 	ds, err := dataset.Synthetic(50_000, 4, dataset.Anticorrelated, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := par.NewPool(4)
+	defer pool.Close()
 	const wantRows, wantExact, wantSky = 6_963_697, 37_366, 5581
-	for _, workers := range []int{1, 2} {
+	for _, opts := range []ComputeOptions{{Workers: 1}, {Workers: 2}, {Workers: 4}, {Workers: 4, Pool: pool}} {
 		var sc scanCounts
-		sky, err := computeOpts(context.Background(), ds.Points, ComputeOptions{Workers: workers}, &sc)
+		sky, err := computeOpts(context.Background(), ds.Points, opts, &sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(sky) != wantSky || sc.rows != wantRows || sc.exact != wantExact {
-			t.Fatalf("workers=%d: skyline %d, %d row tests, %d exact; want %d, %d, %d",
-				workers, len(sky), sc.rows, sc.exact, wantSky, wantRows, wantExact)
+			t.Fatalf("workers=%d pool=%v: skyline %d, %d row tests, %d exact; want %d, %d, %d",
+				opts.Workers, opts.Pool != nil, len(sky), sc.rows, sc.exact, wantSky, wantRows, wantExact)
 		}
 	}
 	if 50*wantExact > wantRows {

@@ -21,11 +21,18 @@
 //     is skipped when L < 2 or when some attribute's width or scale is not
 //     finite and positive (a flat attribute, an overflowing hi−lo, or a
 //     subnormal width whose scale overflows).
+//   - Sharded front end: validation, the bounds, the grid marks and the
+//     survivors' sums run as passes over contiguous shards of the points,
+//     one per worker; per-shard bounds, occupancy maps and survivor runs
+//     are merged in shard order, so everything after them is the same at
+//     any worker count.
 //   - Keyed sort: (sum, index) pairs ordered by descending attribute sum,
 //     then by descending attributes compared lexicographically, then by
 //     ascending index. A dominator's float sum is never smaller than its
 //     victim's but may equal it (rounding, or overflow to +Inf); the
-//     lexicographic key keeps it first even then.
+//     lexicographic key keeps it first even then. An LSD radix sort on
+//     the sums' order-preserving bits gives the primary order; only runs
+//     of equal sums are sorted by comparison.
 //   - Flat window: the window's rows are stored contiguously, d values per
 //     row, so testing a point against it is a linear walk.
 //   - Mask buckets: the window is split into 2^min(d, 6) buckets by the
@@ -104,15 +111,18 @@ type sortKey struct {
 // ComputeOpts is Compute with the SFS window scan parallelized — the
 // preprocessing bottleneck on large anticorrelated datasets, where the
 // skyline (and therefore the window every point is tested against) is
-// huge. It uses the grid prefilter, keyed sort, flat window, mask buckets
-// and packed pre-test described in the package comment. One pass finds
-// each attribute's bounds for both the grid and the codes. The prefilter
-// runs serially after validation and drops provably dominated points, so
-// everything after it — sort, pivot, window and blocks — works on the
-// survivors only; they keep their original indices. The lexicographic
-// tie-break is what keeps the sort dominance-safe: float addition rounds
-// monotonically, so a dominator's sum is never below its victim's, but
-// rounding or overflow to +Inf can make the two equal.
+// huge. It uses the sharded front end, grid prefilter, keyed sort, flat
+// window, mask buckets and packed pre-test described in the package
+// comment. One sharded pass validates the points and finds each
+// attribute's bounds for both the grid and the codes; the next marks the
+// grid, and two more count and then sum the points the prefilter cannot
+// prove dominated, so everything after it — sort, pivot, window and
+// blocks — works on the survivors only; they keep their original
+// indices. The front end runs at par.Bounded(Workers, n) shards, one at
+// Workers 1. The lexicographic tie-break is what keeps the sort
+// dominance-safe: float addition rounds monotonically, so a dominator's
+// sum is never below its victim's, but rounding or overflow to +Inf can
+// make the two equal.
 //
 // The sorted order is processed in blocks: each block's points are tested
 // against the window as it stood at the block start (bucket lengths
@@ -145,47 +155,30 @@ func computeOpts(ctx context.Context, points [][]float64, opts ComputeOptions, c
 		ctx = context.Background()
 	}
 	ctx = sched.ContextWithDefault(ctx, opts.Sched)
-	d, err := point.Validate(points)
+	lo, hi, err := validBounds(ctx, points, opts)
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := bounds(points)
-	keep := gridSurvivors(points, lo, hi)
+	keys, err := survivorKeys(ctx, points, lo, hi, opts)
+	if err != nil {
+		return nil, err
+	}
+	d, n := len(lo), len(keys)
 	cm := newCodeMap(lo, hi)
-	n := len(keep)
-	keys := make([]sortKey, n)
+	// The pivot is summed serially in index order, so the buckets do not
+	// depend on the worker count.
 	piv := make([]float64, d)
-	for i, idx := range keep {
-		var s float64
-		for j, v := range points[idx] {
-			s += v
+	for _, k := range keys {
+		for j, v := range points[k.idx] {
 			piv[j] += v
 		}
-		keys[i] = sortKey{s, idx}
 	}
 	// Any pivot keeps the bucket argument sound; an overflowed mean only
 	// leaves its bit unset everywhere.
 	for j := range piv {
 		piv[j] /= float64(n)
 	}
-	slices.SortFunc(keys, func(a, b sortKey) int {
-		if a.sum != b.sum {
-			if a.sum > b.sum {
-				return -1
-			}
-			return 1
-		}
-		pa, pb := points[a.idx], points[b.idx]
-		for j, v := range pa {
-			if v != pb[j] {
-				if v > pb[j] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+	sortKeys(points, keys)
 
 	nb := 1 << min(d, maskBits)
 	nw := cm.words
@@ -356,19 +349,6 @@ func (cm codeMap) encode(p []float64, dst []uint64) {
 	}
 }
 
-// bounds returns each attribute's minimum and maximum over the points.
-func bounds(points [][]float64) (lo, hi []float64) {
-	lo = slices.Clone(points[0])
-	hi = slices.Clone(points[0])
-	for _, p := range points[1:] {
-		for j, v := range p {
-			lo[j] = min(lo[j], v)
-			hi[j] = max(hi[j], v)
-		}
-	}
-	return lo, hi
-}
-
 // cellScale returns cells/(hi−lo), the scale that cuts [lo, hi] into
 // cells cells, and whether it is usable: the width and the scale must both
 // be finite and positive. A flat attribute leaves no cell strictly above
@@ -381,73 +361,304 @@ func cellScale(lo, hi, cells float64) (float64, bool) {
 	return s, finitePositive(w) && finitePositive(s)
 }
 
-// gridSurvivors returns, in increasing order, the indices of the points
-// that the grid prefilter cannot prove dominated (see the package
-// comment); every index when the grid does not apply. lo and hi are the
-// per-attribute bounds. It runs in O(n·d).
-func gridSurvivors(points [][]float64, lo, hi []float64) []int {
-	all := func() []int {
-		keep := make([]int, len(points))
-		for i := range keep {
-			keep[i] = i
-		}
-		return keep
-	}
+// validBounds checks the points as point.Validate does and returns each
+// attribute's minimum and maximum, in one pass over par.Bounded(Workers,
+// n) shards of contiguous rows. Each shard checks its rows'
+// lengths and takes its own bounds with the min and max builtins, which
+// propagate NaN, so a shard's bounds are all finite exactly when its rows
+// are; the shards' bounds are then merged in shard order. On any bad row
+// it returns point.Validate's error, so the message is the same at every
+// worker count; a validation error also takes precedence over a canceled
+// context.
+func validBounds(ctx context.Context, points [][]float64, opts ComputeOptions) (lo, hi []float64, err error) {
 	n := len(points)
-	side, cells := gridSide(min(n, math.MaxInt32), len(lo)) // cell ids fit int32
-	if side < 2 {
-		return all()
+	if n == 0 || len(points[0]) == 0 {
+		_, err := point.Validate(points)
+		return nil, nil, err
 	}
-	scale := make([]float64, len(lo))
-	for j := range scale {
-		s, ok := cellScale(lo[j], hi[j], float64(side))
-		if !ok {
-			return all()
+	d := len(points[0])
+	shards := par.Bounded(opts.Workers, n)
+	los, his := make([][]float64, shards), make([][]float64, shards)
+	err = opts.Pool.Shards(ctx, shards, n, func(w, a, b int) {
+		l, h := make([]float64, d), make([]float64, d)
+		for j := range l {
+			l[j], h[j] = math.Inf(1), math.Inf(-1)
 		}
-		scale[j] = s
-	}
-
-	// up[i] is the cell one step above point i's on every axis, or -1 when
-	// point i lies on the top face, where nothing can be above it.
-	occ := make([]bool, cells)
-	up := make([]int32, n)
-	diag := (cells - 1) / (side - 1) // Σ side^j over j < d
-	for i, p := range points {
-		c, stride, top := 0, 1, false
-		for j, v := range p {
-			// v ≥ lo and 0 < scale < ∞, so the product is finite, ≥ 0
-			// and at most a rounding above side.
-			x := int((v - lo[j]) * scale[j])
-			if x >= side-1 {
-				x, top = side-1, true
+		for _, p := range points[a:b] {
+			if len(p) != d {
+				return // los[w] stays nil
 			}
-			c += x * stride
-			stride *= side
+			for j, v := range p {
+				l[j] = min(l[j], v)
+				h[j] = max(h[j], v)
+			}
 		}
-		occ[c] = true
-		up[i] = -1
-		if !top {
-			up[i] = int32(c + diag)
+		los[w], his[w] = l, h
+	})
+	if err == nil && !slices.ContainsFunc(los, func(l []float64) bool { return l == nil }) {
+		lo, hi = los[0], his[0]
+		for w := 1; w < shards; w++ {
+			for j := range lo {
+				lo[j] = min(lo[j], los[w][j])
+				hi[j] = max(hi[j], his[w][j])
+			}
+		}
+		if finite(lo) && finite(hi) {
+			return lo, hi, nil
 		}
 	}
-	// Suffix-OR along each axis, high cells first: afterwards occ[c] says
-	// some point's cell is ≥ c on every coordinate.
-	for stride := 1; stride < cells; stride *= side {
-		for base := 0; base < cells; base += stride * side {
-			for k := base + (side-1)*stride - 1; k >= base; k-- {
-				if occ[k+stride] {
-					occ[k] = true
+	if _, verr := point.Validate(points); verr != nil {
+		return nil, nil, verr
+	}
+	return nil, nil, err
+}
+
+// finite reports whether every value of xs is neither NaN nor infinite.
+func finite(xs []float64) bool {
+	for _, x := range xs {
+		if x-x != 0 { // NaN exactly when x is NaN or ±Inf
+			return false
+		}
+	}
+	return true
+}
+
+// survivorKeys returns, in increasing index order, the sort keys of the
+// points that the grid prefilter cannot prove dominated (see the package
+// comment); every point's key when the grid does not apply. lo and hi are
+// the per-attribute bounds. It runs in O(n·d) in passes sharded like
+// validBounds: gridMarks, then a count of each shard's survivors, then a
+// pass in which each shard sums its survivors and writes their keys at
+// its offset, the survivors of the shards before it.
+func survivorKeys(ctx context.Context, points [][]float64, lo, hi []float64, opts ComputeOptions) ([]sortKey, error) {
+	n := len(points)
+	shards := par.Bounded(opts.Workers, n)
+	up, occ, err := gridMarks(ctx, points, lo, hi, shards, opts)
+	if err != nil {
+		return nil, err
+	}
+	dropped := func(i int) bool { return up != nil && up[i] >= 0 && occ[up[i]] != 0 }
+	// starts[w+1] first counts shard w's survivors, then becomes the end
+	// of its run of keys.
+	starts := make([]int, shards+1)
+	if err := opts.Pool.Shards(ctx, shards, n, func(w, a, b int) {
+		c := b - a
+		if up != nil {
+			for i := a; i < b; i++ {
+				if dropped(i) {
+					c--
 				}
 			}
 		}
+		starts[w+1] = c
+	}); err != nil {
+		return nil, err
 	}
-	keep := make([]int, 0, n)
-	for i, u := range up {
-		if u < 0 || !occ[u] {
-			keep = append(keep, i)
+	for w := range shards {
+		starts[w+1] += starts[w]
+	}
+	keys := make([]sortKey, starts[shards])
+	if err := opts.Pool.Shards(ctx, shards, n, func(w, a, b int) {
+		m := starts[w]
+		for i := a; i < b; i++ {
+			if dropped(i) {
+				continue
+			}
+			var s float64
+			for _, v := range points[i] {
+				s += v
+			}
+			keys[m] = sortKey{s, i}
+			m++
+		}
+	}); err != nil {
+		return nil, err
+	}
+	return keys, nil
+}
+
+// gridMarks places the points on the prefilter's grid, in shards of
+// contiguous points. It returns up, where up[i] is the cell one step above
+// point i's on every axis or -1 when point i lies on the top face, and
+// occ, where occ[c] is non-zero iff some point's cell is ≥ c on every
+// axis; both nil when the grid does not apply. Each shard writes its own
+// range of up and marks its points' cells in its own occupancy map; the
+// maps are OR-merged and then swept once.
+func gridMarks(ctx context.Context, points [][]float64, lo, hi []float64, shards int, opts ComputeOptions) (up []int32, occ []byte, err error) {
+	n := len(points)
+	g := newGrid(n, lo, hi)
+	if g == nil {
+		return nil, nil, nil
+	}
+	up = make([]int32, n)
+	occs := make([][]byte, shards)
+	if err := opts.Pool.Shards(ctx, shards, n, func(w, a, b int) {
+		o := make([]byte, g.cells)
+		for i, p := range points[a:b] {
+			c, u := g.place(p)
+			o[c] = 1
+			up[a+i] = int32(u)
+		}
+		occs[w] = o
+	}); err != nil {
+		return nil, nil, err
+	}
+	occ = occs[0]
+	for _, o := range occs[1:] {
+		for c, v := range o {
+			occ[c] |= v
 		}
 	}
-	return keep
+	g.sweep(occ)
+	return up, occ, nil
+}
+
+// grid is the prefilter's L^d grid over the points' bounds: cell ids are
+// Σ x_j·side^j, where x_j = int((v_j − lo_j)·scale_j) capped at side−1.
+type grid struct {
+	side, cells, diag int       // diag: Σ side^j over j < d, one step up on every axis
+	lo, scale         []float64 // the per-attribute cell map
+	strides           []int     // side^j
+}
+
+// newGrid returns the grid for n points with per-attribute bounds lo, hi,
+// or nil when it does not apply: when L < 2, or when some attribute's
+// width or scale is not finite and positive.
+func newGrid(n int, lo, hi []float64) *grid {
+	side, cells := gridSide(min(n, math.MaxInt32), len(lo)) // cell ids fit int32
+	if side < 2 {
+		return nil
+	}
+	g := &grid{side: side, cells: cells, diag: (cells - 1) / (side - 1), lo: lo,
+		scale: make([]float64, len(lo)), strides: make([]int, len(lo))}
+	for j, st := 0, 1; j < len(lo); j, st = j+1, st*side {
+		s, ok := cellScale(lo[j], hi[j], float64(side))
+		if !ok {
+			return nil
+		}
+		g.scale[j], g.strides[j] = s, st
+	}
+	return g
+}
+
+// place returns p's cell and the cell one step above it on every axis, or
+// -1 for the latter when p lies on the top face, where nothing can be
+// above it.
+func (g *grid) place(p []float64) (cell, up int) {
+	top := false
+	for j, v := range p {
+		// v ≥ lo and 0 < scale < ∞, so the product is finite, ≥ 0 and at
+		// most a rounding above side.
+		x := int((v - g.lo[j]) * g.scale[j])
+		if x >= g.side-1 {
+			x, top = g.side-1, true
+		}
+		cell += x * g.strides[j]
+	}
+	if top {
+		return cell, -1
+	}
+	return cell, cell + g.diag
+}
+
+// sweep ORs occ along each axis, high cells first: afterwards occ[c] is
+// non-zero iff some marked cell is ≥ c on every axis.
+func (g *grid) sweep(occ []byte) {
+	for stride := 1; stride < g.cells; stride *= g.side {
+		for base := 0; base < g.cells; base += stride * g.side {
+			for k := base + (g.side-1)*stride - 1; k >= base; k-- {
+				occ[k] |= occ[k+stride]
+			}
+		}
+	}
+}
+
+// scanOrder returns the comparator of the scan order: descending sum, then
+// descending attributes compared lexicographically, then ascending index.
+func scanOrder(points [][]float64) func(a, b sortKey) int {
+	return func(a, b sortKey) int {
+		if a.sum != b.sum {
+			if a.sum > b.sum {
+				return -1
+			}
+			return 1
+		}
+		pa, pb := points[a.idx], points[b.idx]
+		for j, v := range pa {
+			if v != pb[j] {
+				if v > pb[j] {
+					return -1
+				}
+				return 1
+			}
+		}
+		return cmp.Compare(a.idx, b.idx)
+	}
+}
+
+// radixBits is the digit width of sortKeys' radix passes: six passes
+// cover a 64-bit key.
+const radixBits = 11
+
+// sortKeys sorts keys into scanOrder. A stable LSD radix sort on descKey
+// orders them by sum, and only runs of equal sums go on to the comparator.
+func sortKeys(points [][]float64, keys []sortKey) {
+	const passes, mask = (64 + radixBits - 1) / radixBits, 1<<radixBits - 1
+	n := len(keys)
+	if n == 0 {
+		return
+	}
+	hist := new([passes][1 << radixBits]int)
+	for _, k := range keys {
+		x := descKey(k.sum)
+		for p := range hist {
+			hist[p][x>>(radixBits*p)&mask]++
+		}
+	}
+	src, dst := keys, make([]sortKey, n)
+	first := descKey(keys[0].sum)
+	for p := range hist {
+		h, shift := &hist[p], radixBits*p
+		if h[first>>shift&mask] == n {
+			continue // every key has the same digit: the pass is the identity
+		}
+		pos := 0
+		for b, c := range h {
+			h[b] = pos
+			pos += c
+		}
+		for _, k := range src {
+			b := descKey(k.sum) >> shift & mask
+			dst[h[b]] = k
+			h[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(keys, src) // the passes may end in either buffer
+	cmpKeys := scanOrder(points)
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && keys[j].sum == keys[i].sum {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(keys[i:j], cmpKeys)
+		}
+		i = j
+	}
+}
+
+// descKey maps a sum to a key whose ascending order is the sums'
+// descending order: a negative sum keeps its bits (a larger magnitude
+// comes later, and the sign bit puts it after every non-negative sum), a
+// non-negative one has every bit but the sign flipped. −0 and +0 share a
+// key, as they compare equal.
+func descKey(s float64) uint64 {
+	if s == 0 {
+		s = 0 // −0 → +0
+	}
+	b := math.Float64bits(s)
+	return b ^ ^uint64(int64(b)>>63)>>1
 }
 
 // gridSide returns the largest side L ≥ 2 with L^d ≤ limit, and L^d; a

@@ -75,9 +75,9 @@ func normalizeQuery(ds *Dataset, dist Distribution, q Query, needK bool) (normal
 }
 
 // deriveQuery is normalizeQuery against an already-validated dataset:
-// the batch planner keys every member with it, skipping the O(n·d)
-// structural re-validation that Register already performed (registered
-// datasets are immutable).
+// Engine.Select, Engine.Evaluate and the batch planner call it, skipping
+// the O(n·d) structural re-validation that Register already performed
+// (registered datasets are immutable).
 func deriveQuery(ds *Dataset, dist Distribution, q Query, needK bool) (normalized, error) {
 	var norm normalized
 	if needK {
