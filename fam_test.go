@@ -3,7 +3,9 @@ package fam
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/regretlab/fam/internal/dataset"
@@ -359,5 +361,60 @@ func TestSkylineRestrictionPreservesResult(t *testing.T) {
 	}
 	if math.Abs(withSky.Metrics.ARR-without.Metrics.ARR) > 1e-12 {
 		t.Fatalf("arr differs: %v vs %v", withSky.Metrics.ARR, without.Metrics.ARR)
+	}
+}
+
+// nanAtFunc is the sum of a point's attributes, except NaN at the point
+// equal to at: keyed by the point's values, not by its index, so it
+// fails at the same dataset row however the candidates are numbered.
+type nanAtFunc struct{ at []float64 }
+
+func (f nanAtFunc) Value(_ int, p []float64) float64 {
+	if p[0] == f.at[0] && p[1] == f.at[1] {
+		return math.NaN()
+	}
+	return p[0] + p[1]
+}
+
+type nanAtDist struct{ at []float64 }
+
+func (d nanAtDist) Sample(*rng.RNG) UtilityFunc { return nanAtFunc(d) }
+func (nanAtDist) Monotone() bool                { return true }
+func (nanAtDist) Dim() int                      { return 2 }
+func (nanAtDist) Name() string                  { return "nan-at" }
+
+// TestInvalidUtilityNamesDatasetRow: an invalid utility is reported at
+// its dataset row whether or not the skyline and the coreset renumber
+// the candidates. Row 6 is the skyline's third point, which the
+// instance numbers 2.
+func TestInvalidUtilityNamesDatasetRow(t *testing.T) {
+	ds := &Dataset{Name: "nan-at", Points: [][]float64{
+		{0.1, 0.1}, {0.9, 0.1}, {0.2, 0.2}, {0.8, 0.5}, {0.3, 0.3},
+		{0.1, 0.05}, {0.6, 0.7}, {0.4, 0.8}, {0.1, 0.95}, {0.2, 0.25},
+	}}
+	dist := nanAtDist{at: ds.Points[6]}
+	e := NewEngine(EngineConfig{})
+	defer e.Close()
+	if err := e.Register("nan-at", ds, dist); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, q := range []Query{
+		{K: 2, SampleSize: 5, Seed: 1},
+		{K: 2, SampleSize: 5, Seed: 1, Coreset: true},
+		{K: 2, SampleSize: 5, Seed: 1, DisableSkyline: true},
+	} {
+		label := fmt.Sprintf("coreset=%t skyline=%t", q.Coreset, !q.DisableSkyline)
+		one := q
+		one.Data, one.Dist = ds, dist
+		_, _, err := Select(ctx, one, Exec{})
+		if err == nil || !strings.Contains(err.Error(), "returned NaN for point 6 ") {
+			t.Errorf("Select %s: err = %v, want NaN at point 6", label, err)
+		}
+		q.Dataset = "nan-at"
+		_, _, err = e.Select(ctx, q, Exec{})
+		if err == nil || !strings.Contains(err.Error(), "returned NaN for point 6 ") {
+			t.Errorf("Engine.Select %s: err = %v, want NaN at point 6", label, err)
+		}
 	}
 }

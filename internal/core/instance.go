@@ -115,7 +115,21 @@ const DefaultCacheBudget = int64(32 << 20)
 // ErrNoFuncs is returned when no utility functions are supplied.
 var ErrNoFuncs = errors.New("core: need at least one sampled utility function")
 
-// NewInstance validates the inputs and runs preprocessing.
+// UtilityError reports a utility function that returned a value that is
+// not a non-negative finite real (Definition 1) at some point.
+type UtilityError struct {
+	Func  int     // index of the utility function
+	Point int     // position of the point in the instance's point set
+	Value float64 // the value as the solvers would observe it (rounded in Float32 mode)
+}
+
+func (e *UtilityError) Error() string {
+	return fmt.Sprintf("core: utility function %d returned %v for point %d (must be a non-negative finite value)", e.Func, e.Value, e.Point)
+}
+
+// NewInstance validates the inputs and runs preprocessing. An invalid
+// utility is reported as a *UtilityError: the first one in (function,
+// point) order.
 func NewInstance(points [][]float64, funcs []utility.Func, opts Options) (*Instance, error) {
 	if _, err := point.Validate(points); err != nil {
 		return nil, err
@@ -205,13 +219,12 @@ func (in *Instance) preprocessUsers(ps *kernel.Points, lo, hi int) error {
 		if scratch {
 			r = 0
 		}
-		mat.FillRow(r, in.Funcs[u], ps)
-		bad, bi := mat.ScanRow(r)
+		bad, bi := mat.FillRow(r, in.Funcs[u], ps)
 		if bad >= 0 {
 			// Definition 1 requires utilities to be non-negative reals;
 			// reject functions that break it rather than silently
 			// corrupting every downstream comparison.
-			return fmt.Errorf("core: utility function %d returned %v for point %d (must be a non-negative finite value)", u, mat.At(r, bad), bad)
+			return &UtilityError{Func: u, Point: bad, Value: mat.At(r, bad)}
 		}
 		if best := mat.At(r, bi); best > 0 {
 			in.satD[u], in.bestD[u] = best, int32(bi)

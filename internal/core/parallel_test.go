@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -70,8 +71,10 @@ func TestInvalidUtilityRejected(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {2}}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1} {
 		funcs := []utility.Func{badFunc{bad: bad}}
-		if _, err := NewInstance(pts, funcs, Options{}); err == nil {
-			t.Fatalf("utility value %v must be rejected", bad)
+		_, err := NewInstance(pts, funcs, Options{})
+		var ue *UtilityError
+		if !errors.As(err, &ue) || ue.Func != 0 || ue.Point != 1 || math.Float64bits(ue.Value) != math.Float64bits(bad) {
+			t.Fatalf("utility value %v: err = %#v, want a UtilityError at function 0, point 1", bad, err)
 		}
 		// Parallel path propagates the same error.
 		if _, err := NewInstance(pts, funcs, Options{Parallelism: 4}); err == nil {

@@ -16,11 +16,12 @@
 // which is the ε-kernel guarantee of Agarwal–Kumar–Sintos–Suri that
 // greedy over a coreset preserves its approximation factor up to ε.
 //
-// Utilities come from the shared fill kernel (kernel.Points), the same
+// Utilities come from the shared fill kernel (kernel.Fill), the same
 // code that materializes core.Instance matrices: each user's row over
-// the candidates is one blocked, devirtualized pass for utility.Linear
-// and a per-point Value call for every other Func, bit-identical either
-// way.
+// the candidates is computed column by column for utility.Linear and by
+// a per-point Value call for every other Func, bit-identical either way,
+// and the one call also returns the row's first invalid entry and its
+// argmax.
 //
 // Determinism: survival marks are per-(user, candidate) pure predicates
 // OR-merged across users, so the surviving set — returned in ascending
@@ -97,8 +98,7 @@ func Filter(ctx context.Context, points [][]float64, cand []int, funcs []utility
 			if ctx.Err() != nil {
 				return
 			}
-			kernel.Fill(ps, funcs[u], vals)
-			bad, bi := kernel.Scan(vals)
+			bad, bi := kernel.Fill(ps, funcs[u], vals)
 			if bad >= 0 {
 				errs[w] = fmt.Errorf("coreset: utility function %d returned %v for point %d (must be a non-negative finite value)", u, vals[bad], cand[bad])
 				return

@@ -46,7 +46,8 @@ func oddCand(n int) []int {
 }
 
 // checkFill compares Fill in both storage modes against the per-entry
-// Value call at the candidate's dataset index, bit for bit.
+// Value call at the candidate's dataset index, bit for bit, and its
+// check against the ordered Scan of those values.
 func checkFill(t *testing.T, label string, pts [][]float64, cand []int, f utility.Func) {
 	t.Helper()
 	ps := kernel.NewPoints(pts, cand)
@@ -57,38 +58,177 @@ func checkFill(t *testing.T, label string, pts [][]float64, cand []int, f utilit
 	if ps.Len() != m {
 		t.Fatalf("%s: Len %d, want %d", label, ps.Len(), m)
 	}
-	got64 := make([]float64, m)
-	got32 := make([]float32, m)
-	kernel.Fill(ps, f, got64)
-	kernel.Fill(ps, f, got32)
-	for j := 0; j < m; j++ {
+	want := make([]float64, m)
+	for j := range want {
 		idx := j
 		if cand != nil {
 			idx = cand[j]
 		}
-		want := f.Value(idx, pts[idx])
-		if math.Float64bits(got64[j]) != math.Float64bits(want) {
-			t.Fatalf("%s: float64 entry %d = %v (%#x), Value = %v (%#x)", label, j, got64[j], math.Float64bits(got64[j]), want, math.Float64bits(want))
+		want[j] = f.Value(idx, pts[idx])
+	}
+	if err := compareFill(ps, f, want, make([]float64, m)); err != nil {
+		t.Fatalf("%s: float64 %v", label, err)
+	}
+	if err := compareFill(ps, f, want, make([]float32, m)); err != nil {
+		t.Fatalf("%s: float32 %v", label, err)
+	}
+}
+
+// compareFill fills dst and checks each stored value against T(want[j])
+// bit for bit, and Fill's (bad, argmax) against Scan of those values.
+// Two NaNs compare equal whatever their payloads: which operand's
+// payload an addition keeps is up to the hardware, and no caller looks
+// past IsNaN.
+func compareFill[T float32 | float64](ps *kernel.Points, f utility.Func, want []float64, dst []T) error {
+	bad, am := kernel.Fill(ps, f, dst)
+	ref := make([]T, len(want))
+	for j, v := range want {
+		ref[j] = T(v)
+		g, w := float64(dst[j]), float64(ref[j])
+		if math.IsNaN(g) && math.IsNaN(w) {
+			continue
 		}
-		if math.Float32bits(got32[j]) != math.Float32bits(float32(want)) {
-			t.Fatalf("%s: float32 entry %d = %v, want %v", label, j, got32[j], float32(want))
+		if math.Float64bits(g) != math.Float64bits(w) {
+			return fmt.Errorf("entry %d = %v (%#x), Value = %v (%#x)", j, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
+	if wantBad, wantAm := kernel.Scan(ref); bad != wantBad || am != wantAm {
+		return fmt.Errorf("check = (%d, %d), Scan = (%d, %d)", bad, am, wantBad, wantAm)
+	}
+	return nil
 }
 
 func TestFillLinearBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for d := 1; d <= 8; d++ {
-		for _, m := range []int{0, 1, 3, 4, 5, 1027} {
+	for d := 1; d <= 9; d++ {
+		for _, m := range []int{0, 1, 3, 4, 5, 255, 256, 257, 1027} {
 			pts := randPoints(r, m, d)
 			for trial := 0; trial < 3; trial++ {
+				// Mixed-sign weights leave some rows invalid (the Scan
+				// fallback), positive ones keep them valid (the fused
+				// check).
 				f := utility.Linear{W: randVec(r, d)}
 				checkFill(t, fmt.Sprintf("d=%d m=%d", d, m), pts, nil, f)
+				checkFill(t, fmt.Sprintf("d=%d m=%d positive", d, m), pts, nil, utility.Linear{W: randPositive(r, d)})
 			}
 		}
 		pts := randPoints(r, 50, d)
 		checkFill(t, fmt.Sprintf("d=%d cand", d), pts, oddCand(50), utility.Linear{W: randVec(r, d)})
 	}
+}
+
+// TestFillCheckMatchesScan places chosen values in Linear rows — every
+// weight 1 and every attribute but the first 0, so entry j is exactly
+// the first attribute of point j (−0 aside, which the sum turns into
+// +0) — and checks Fill's fused check against the ordered Scan. d = 1,
+// 4, 5 and 9 give one-chunk rows and rows with full and partial last
+// chunks; m = 300 puts the last entry in a second block.
+func TestFillCheckMatchesScan(t *testing.T) {
+	inf := math.Inf(1)
+	special := map[string]float64{
+		"nan":          math.NaN(),
+		"+inf":         inf,
+		"-inf":         -inf,
+		"negative":     -0.25,
+		"f32-overflow": 1e39,   // finite in float64, +Inf in float32
+		"f32-negzero":  -1e-50, // negative in float64, −0 in float32
+		"subnormal":    5e-324, // the smallest positive value: valid
+		"max":          math.MaxFloat64,
+	}
+	for _, d := range []int{1, 4, 5, 9} {
+		for _, m := range []int{1, 7, 300} {
+			rowOf := func(first []float64) [][]float64 {
+				pts := make([][]float64, m)
+				for j := range pts {
+					pts[j] = make([]float64, d)
+					pts[j][0] = first[j]
+				}
+				return pts
+			}
+			w := make([]float64, d)
+			for i := range w {
+				w[i] = 1
+			}
+			f := utility.Linear{W: w}
+			check := func(label string, first []float64) {
+				t.Helper()
+				checkFill(t, fmt.Sprintf("d=%d m=%d %s", d, m, label), rowOf(first), nil, f)
+			}
+			filled := func(v float64) []float64 {
+				row := make([]float64, m)
+				for j := range row {
+					row[j] = v
+				}
+				return row
+			}
+			// Ties: all-equal rows, ±0 rows, and a maximum that repeats
+			// in both blocks.
+			check("all-zero", filled(0))
+			check("all-negzero", filled(math.Copysign(0, -1)))
+			check("all-equal", filled(0.5))
+			tie := filled(0.25)
+			tie[m/2], tie[m-1] = 0.75, 0.75
+			check("tied-max", tie)
+			mixed := filled(0)
+			for j := 0; j < m; j += 2 {
+				mixed[j] = math.Copysign(0, -1)
+			}
+			check("signed-zeros", mixed)
+			for name, v := range special {
+				for _, at := range []int{0, m / 2, m - 1} {
+					row := make([]float64, m)
+					for j := range row {
+						row[j] = float64(j%17) / 16
+					}
+					row[at] = v
+					if at+1 < m {
+						row[at+1] = math.NaN() // only the first bad entry is reported
+					}
+					check(fmt.Sprintf("%s@%d", name, at), row)
+				}
+			}
+		}
+	}
+}
+
+// fuzzPalette holds the values FuzzFill places at chosen weights and
+// attributes: signed zeros, subnormals, values at and past float32's
+// range, and the invalid ones.
+var fuzzPalette = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, 1e-45, -1e-50,
+	1, 0.5, 3.4028234663852886e38, 1e39, -1e39, 1e200, math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// FuzzFill checks the Linear fill and its fused check against Value
+// followed by the ordered Scan, in both storage modes, on d ≤ 9 columns
+// and rows that span blocks. Regular values come from seed; each triple
+// of specials puts fuzzPalette[c] at weight or attribute (a<<8|b).
+func FuzzFill(f *testing.F) {
+	f.Add(uint8(3), uint16(7), int64(1), []byte{})
+	f.Add(uint8(8), uint16(300), int64(2), []byte{0, 9, 1, 1, 44, 16, 3, 2, 14})
+	f.Add(uint8(4), uint16(257), int64(3), []byte{0, 0, 10, 0, 4, 6, 4, 0, 1})
+	f.Fuzz(func(t *testing.T, dRaw uint8, mRaw uint16, seed int64, specials []byte) {
+		d, m := 1+int(dRaw)%9, int(mRaw)%600
+		r := rand.New(rand.NewSource(seed))
+		// Odd seeds draw positive weights, whose rows stay valid unless
+		// a special breaks them: the fused check decides those rows.
+		w := randVec(r, d)
+		if seed&1 != 0 {
+			w = randPositive(r, d)
+		}
+		pts := randPoints(r, m, d)
+		for k := 0; k+2 < len(specials); k += 3 {
+			v := fuzzPalette[int(specials[k+2])%len(fuzzPalette)]
+			at := (int(specials[k])<<8 | int(specials[k+1])) % (d + m*d)
+			if at < d {
+				w[at] = v
+			} else {
+				pts[(at-d)/d][(at-d)%d] = v
+			}
+		}
+		checkFill(t, fmt.Sprintf("d=%d m=%d", d, m), pts, nil, utility.Linear{W: w})
+	})
 }
 
 // stubSampler feeds LatentLinear fixed-distribution weight vectors.
@@ -258,22 +398,46 @@ func TestInvalidUtilityErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkFill fills one 691-user matrix over 2400 4-d candidates, the
-// shape of a fresh-seed coreset-pruned instance at n=10⁵.
+// BenchmarkFill fills and checks one row per user: N=691 users over
+// m=2405 candidates, the shape of an engine-fresh-seeds coreset pass
+// over the skyline of 10⁵ anticorrelated points, at several d in both
+// storage modes.
 func BenchmarkFill(b *testing.B) {
-	r := rand.New(rand.NewSource(5))
-	const N, m, d = 691, 2400, 4
-	ps := kernel.NewPoints(randPoints(r, m, d), nil)
-	funcs := make([]utility.Func, N)
-	for u := range funcs {
-		funcs[u] = utility.Linear{W: randVec(r, d)}
+	const N, m = 691, 2405
+	for _, d := range []int{1, 2, 3, 4, 6, 8} {
+		r := rand.New(rand.NewSource(5))
+		ps := kernel.NewPoints(randPoints(r, m, d), nil)
+		funcs := make([]utility.Func, N)
+		for u := range funcs {
+			funcs[u] = utility.Linear{W: randPositive(r, d)}
+		}
+		b.Run(fmt.Sprintf("d=%d/float64", d), func(b *testing.B) { benchFill(b, ps, funcs, make([]float64, m)) })
+		b.Run(fmt.Sprintf("d=%d/float32", d), func(b *testing.B) { benchFill(b, ps, funcs, make([]float32, m)) })
 	}
-	mat := kernel.New(N, m, false)
+}
+
+// randPositive draws positive weights, so every filled row is valid and
+// the benchmark times the fused check, not the Scan fallback.
+func randPositive(r *rand.Rand, d int) []float64 {
+	w := make([]float64, d)
+	for i := range w {
+		w[i] = r.Float64() + 1e-3
+	}
+	return w
+}
+
+var sinkArgmax int
+
+func benchFill[T float32 | float64](b *testing.B, ps *kernel.Points, funcs []utility.Func, row []T) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for u, f := range funcs {
-			mat.FillRow(u, f, ps)
+		for _, f := range funcs {
+			bad, am := kernel.Fill(ps, f, row)
+			if bad >= 0 {
+				b.Fatalf("invalid entry %d", bad)
+			}
+			sinkArgmax += am
 		}
 	}
 }

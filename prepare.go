@@ -269,6 +269,14 @@ func assemble(ctx context.Context, ds *Dataset, candidates []int, funcs []Utilit
 		Pool:        exec.pool,
 		Sched:       exec.attrs(),
 	})
+	var ue *core.UtilityError
+	if errors.As(err, &ue) {
+		// The instance numbers its points by candidate position; report
+		// the dataset row, as the coreset prepass does.
+		e := *ue
+		e.Point = candidates[e.Point]
+		return nil, &e
+	}
 	if err != nil {
 		return nil, err
 	}
