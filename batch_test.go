@@ -40,18 +40,18 @@ func TestEngineCacheSharedAcrossExec(t *testing.T) {
 		t.Fatalf("result cache fills = %d hits = %d, want exactly 1 and 1", s.ResultCache.Misses, s.ResultCache.Hits)
 	}
 
-	// LazyBatch is execution policy too: a lazy query keyed once, shared
-	// at any batch size.
+	// The lazy solver is keyed the same way: a lazy query warmed under
+	// one exec hits under another.
 	lazy := Query{Dataset: "hotels", K: 5, Seed: 9, SampleSize: 120, Algorithm: GreedyShrinkLazy}
-	if _, _, err := e.Select(ctx, lazy, Exec{LazyBatch: 1}); err != nil {
+	if _, _, err := e.Select(ctx, lazy, Exec{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	warm, _, err := e.Select(ctx, lazy, Exec{LazyBatch: 16, Parallelism: 4})
+	warm, _, err := e.Select(ctx, lazy, Exec{Parallelism: 4, Priority: PriorityHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !warm.Cached {
-		t.Fatal("LazyBatch leaked into the result-cache key")
+		t.Fatal("Parallelism or Priority leaked into the result-cache key")
 	}
 
 	// Yet another Parallelism still hits the same entry.

@@ -281,29 +281,6 @@ func BenchmarkSkyDomParallel(b *testing.B) {
 	}
 }
 
-// The batched lazy refresh changes work counts, not selections; sweep the
-// batch size at a fixed worker count to expose the trade-off.
-func BenchmarkGreedyShrinkLazyBatch(b *testing.B) {
-	in := parallelBenchInstance(b)
-	for _, batch := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			in.SetParallelism(8)
-			in.SetLazyBatch(batch)
-			defer func() {
-				in.SetParallelism(0)
-				in.SetLazyBatch(0)
-			}()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.GreedyShrink(context.Background(), in, 9500, core.StrategyLazy); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkARREvaluation(b *testing.B) {
 	in := benchInstance(b, 1000, 6, 2000)
 	set := []int{1, 50, 200, 500, 900}

@@ -45,7 +45,6 @@ func run(args []string, out io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "random seed")
 		ces      = fs.Float64("ces", 0, "use CES utilities with this rho (0 = linear)")
 		workers  = fs.Int("workers", 0, "worker goroutines for preprocessing and query evaluation (0 = all CPUs, 1 = serial; results are identical at any setting)")
-		lazyB    = fs.Int("lazy-batch", 0, "greedy-shrink-lazy refresh batch size (<=1 = serial pop-refresh, negative = adaptive controller; selections are identical at any setting, only work counters change)")
 		coreset  = fs.Bool("coreset", false, "enable the ε-kernel coreset candidate prepass (solution quality within -coreset-eps of the unpruned run)")
 		csEps    = fs.Float64("coreset-eps", 0, "coreset kernel tolerance in [0,1) (0 = library default; requires -coreset)")
 		f32      = fs.Bool("float32", false, "store the utility matrix in float32 (half the memory, ~1e-7 relative metric drift)")
@@ -75,13 +74,13 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// The query names the problem; the exec carries the throughput knobs.
-	// Results are identical at any -workers / -lazy-batch setting.
+	// Results are identical at any -workers setting.
 	res, tel, err := fam.Select(context.Background(), fam.Query{
 		Data: ds, Dist: dist,
 		K: *k, Algorithm: algorithm, Epsilon: *eps, Sigma: *sigma,
 		SampleSize: *samples, Seed: *seed,
 		Coreset: *coreset, CoresetEps: *csEps, Float32: *f32,
-	}, fam.Exec{Parallelism: *workers, LazyBatch: *lazyB})
+	}, fam.Exec{Parallelism: *workers})
 	if err != nil {
 		return err
 	}

@@ -41,7 +41,6 @@ func run(args []string) error {
 		scale   = fs.String("scale", "small", "bench|small|paper")
 		seed    = fs.Uint64("seed", 1, "random seed")
 		workers = fs.Int("workers", 0, "worker goroutines per instance (0 = all CPUs, 1 = serial; tables are identical, timings change)")
-		lazyB   = fs.Int("lazy-batch", 0, "lazy strategy refresh batch size (<=1 = serial pop-refresh; tables are identical, lazy work counters change)")
 		prio    = fs.String("priority", "", "scheduling class for the run's fan-outs: low|normal|high (tables are identical at any class)")
 		list    = fs.Bool("list", false, "list experiments and exit")
 		kbench  = fs.Bool("kernel-bench", false, "run the coreset/kernel performance sweep instead of an experiment")
@@ -73,7 +72,7 @@ func run(args []string) error {
 		return err
 	}
 	cfg := experiments.Config{Scale: sc, Seed: *seed,
-		Exec: experiments.Exec{Parallelism: *workers, LazyBatch: *lazyB, Priority: sched.Priority(pr)}}
+		Exec: experiments.Exec{Parallelism: *workers, Priority: sched.Priority(pr)}}
 	ctx := context.Background()
 
 	runners := experiments.All()

@@ -31,7 +31,7 @@ import (
 // dataset and fixes the semantic problem, the Exec sets execution policy
 // only. The result cache keys on Query.Fingerprint() alone — Results are
 // pure functions of the Query, so equal-fingerprint queries share one
-// cache entry no matter how their Parallelism or LazyBatch differ.
+// cache entry no matter how their Exec differs.
 //
 // Determinism: an Engine-served Result is bit-identical to a fresh
 // one-shot Select with the same Query at any concurrency — same Indices,
@@ -478,7 +478,7 @@ func (e *Engine) artifact(ctx context.Context, s stage, _ Exec) (any, error) {
 // bind returns a zero-copy clone of the cached instance carrying the
 // query's Exec and the shared pool.
 func (e *Engine) bind(in *core.Instance, exec Exec) *core.Instance {
-	return in.WithExecution(exec.Parallelism, exec.LazyBatch, e.pool, exec.fillAttrs())
+	return in.WithExecution(exec.Parallelism, e.pool, exec.fillAttrs())
 }
 
 // QueueDepth reports the number of helper requests currently queued on

@@ -72,7 +72,7 @@ func engineQueries() []engineQuery {
 		return engineQuery{q: Query{Dataset: ds, K: k, Algorithm: algo, Seed: 9, SampleSize: 120}}
 	}
 	lazy := with("hotels", 5, GreedyShrinkLazy)
-	lazy.exec.LazyBatch = 4
+	lazy.exec = Exec{Parallelism: 2, Priority: PriorityHigh}
 	return []engineQuery{
 		with("hotels", 5, GreedyShrink),
 		lazy,

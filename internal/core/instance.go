@@ -41,10 +41,9 @@ type Instance struct {
 	cacheUsed bool
 	f32       bool // float32 storage mode: utilities round through float32
 
-	par       int         // requested worker bound for preprocessing and query (0 = all CPUs)
-	lazyBatch int         // lazy-strategy refresh batch size (<=1 = serial refresh)
-	pool      *par.Pool   // externally owned worker pool; nil spawns per-call goroutines
-	sched     sched.Attrs // default scheduling attrs for pool fan-outs
+	par   int         // requested worker bound for preprocessing and query (0 = all CPUs)
+	pool  *par.Pool   // externally owned worker pool; nil spawns per-call goroutines
+	sched sched.Attrs // default scheduling attrs for pool fan-outs
 }
 
 // Options configures instance construction.
@@ -78,20 +77,6 @@ type Options struct {
 	// ties to the lowest index, so results are bit-identical at any
 	// setting. Zero uses GOMAXPROCS; one forces serial execution.
 	Parallelism int
-	// LazyBatch sets the refresh batch size of the lazy GREEDY-SHRINK
-	// strategy: when a stale lower bound surfaces on the priority queue,
-	// up to LazyBatch stale entries are popped and re-evaluated
-	// concurrently instead of one at a time. The selected set and the
-	// final average regret ratio are identical at any batch size — the
-	// queue still converges to the lowest-index argmin — but the
-	// evaluation-count statistics (Evaluations, EvalSkipped, UserRescans
-	// and the speculative counters) may differ, because entries beyond
-	// the queue head are refreshed speculatively. Zero or one keeps the
-	// paper's serial pop-refresh loop with exact counters. A negative
-	// value enables the adaptive controller: the batch doubles while
-	// speculative waste stays low and halves on waste spikes, reported
-	// through the ShrinkStats.Adaptive* counters.
-	LazyBatch int
 	// Pool is an externally owned worker pool (par.NewPool) shared with
 	// other concurrent queries of a long-lived serving process. When set,
 	// preprocessing and every solver's query-phase fan-out runs on the
@@ -173,7 +158,6 @@ func NewInstance(points [][]float64, funcs []utility.Func, opts Options) (*Insta
 	in.f32 = opts.Float32
 
 	in.par = opts.Parallelism
-	in.lazyBatch = opts.LazyBatch
 	in.pool = opts.Pool
 	in.sched = opts.Sched
 	in.satD = make([]float64, N)

@@ -260,9 +260,9 @@ func TestInstanceMemoryFootprint(t *testing.T) {
 	}
 
 	// WithExecution: knobs move, artifacts (and their accounting) don't.
-	clone := cached.WithExecution(3, 7, nil, sched.Attrs{Priority: sched.High})
-	if clone.Parallelism() != 3 || clone.LazyBatch() != 7 || clone.Pool() != nil {
-		t.Fatalf("clone knobs = (%d, %d, %v)", clone.Parallelism(), clone.LazyBatch(), clone.Pool())
+	clone := cached.WithExecution(3, nil, sched.Attrs{Priority: sched.High})
+	if clone.Parallelism() != 3 || clone.Pool() != nil {
+		t.Fatalf("clone knobs = (%d, %v)", clone.Parallelism(), clone.Pool())
 	}
 	if clone.MemoryFootprint() != cached.MemoryFootprint() {
 		t.Fatal("clone accounts different bytes than its parent")
@@ -270,9 +270,5 @@ func TestInstanceMemoryFootprint(t *testing.T) {
 	cached.SetParallelism(5)
 	if cached.Parallelism() != 5 || clone.Parallelism() != 3 {
 		t.Fatal("SetParallelism leaked between clone and parent")
-	}
-	cached.SetLazyBatch(9)
-	if cached.LazyBatch() != 9 {
-		t.Fatal("SetLazyBatch did not stick")
 	}
 }

@@ -28,20 +28,9 @@ import (
 // best-point rescans are independent reads, so they are sharded across
 // the worker pool; their mutations (heap construction, best-point moves)
 // are applied serially in index order, keeping the run bit-identical to
-// serial. The pop-refresh loop is sequential by default — each refresh
+// serial. The pop-refresh loop itself is sequential — each refresh
 // decides whether the next pop happens — which keeps the
 // Evaluations/EvalSkipped counters exact.
-//
-// Batched refresh (LazyBatch > 1): instead of refreshing the single stale
-// entry at the queue head, up to LazyBatch stale entries are popped and
-// re-evaluated concurrently, betting that the head's refreshed value will
-// not stay on top. The selected set is unchanged at any batch size: every
-// queue key is a lower bound on its entry's current value (Lemma 2), so
-// the loop still terminates exactly when the fresh minimum — the
-// lowest-index argmin of the true evaluation values — surfaces. Only the
-// work counters move: entries below the head might never have been
-// refreshed serially, so Evaluations/EvalSkipped/UserRescans become
-// batch-size dependent, tracked by the Speculative* counters.
 func lazyShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, error) {
 	n, N := in.NumPoints(), in.NumFuncs()
 	var stats ShrinkStats
@@ -102,14 +91,11 @@ func lazyShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, e
 		stats.UserRescans += r
 	}
 
-	// seq invalidates superseded queue entries; epoch marks the iteration
-	// an entry's value was computed in (fresh == current iteration).
-	seq := make([]int, n)
-	pq := make(evalQueue, 0, n)
-	for p := 0; p < n; p++ {
-		stats.Evaluations++
-		pq = append(pq, evalEntry{point: p, val: vals[p], epoch: 0, seq: 0})
+	pq := make(evalQueue, n)
+	for p := range pq {
+		pq[p] = evalEntry{point: p, val: vals[p]}
 	}
+	stats.Evaluations += n
 	heap.Init(&pq)
 
 	type move struct {
@@ -117,29 +103,6 @@ func lazyShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, e
 		bv float64
 	}
 	moves := make([]move, 0, N)
-	// The adaptive controller (negative LazyBatch option) sizes the batch
-	// from observed behavior: an iteration that needed more than one
-	// refresh sweep had queue-head churn a bigger batch would have merged
-	// into one parallel round, so the batch doubles; an iteration that
-	// resolved in a single sweep while wasting more than half its batch
-	// on unused speculation shrinks it. A fixed LazyBatch keeps today's
-	// behavior. Any batch trajectory selects the identical set (every
-	// queue key is a Lemma 2 lower bound regardless of when it was
-	// refreshed), so the controller moves only the work counters.
-	adaptive := in.LazyBatchAdaptive()
-	lazyB := in.LazyBatch()
-	maxB := lazyB
-	if adaptive {
-		lazyB, maxB = adaptiveStartBatch, adaptiveMaxBatch
-	}
-	stats.LazyBatch = lazyB
-	batch := make([]evalEntry, 0, maxB)
-	type refresh struct {
-		val     float64
-		rescans int
-	}
-	refreshed := make([]refresh, maxB)
-	spec := make([]int, 0, maxB) // points refreshed speculatively this iteration
 	for iter := 1; set.count > k; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
@@ -147,104 +110,29 @@ func lazyShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, e
 		stats.Iterations++
 		stats.CandidateTotal += set.count
 		evalsBefore := stats.Evaluations
-		chosen := -1
-		var chosenVal float64
-		spec = spec[:0]
-		sweeps := 0 // refresh sweeps this iteration (batches actually refreshed)
-		for chosen == -1 {
-			// Collect up to lazyB stale entries off the top; a fresh entry
-			// ends the sweep early (everything beneath it is ruled out by
-			// its lower bound once the collected entries are refreshed).
-			batch = batch[:0]
-			fresh := evalEntry{point: -1}
-			for len(batch) < lazyB && pq.Len() > 0 {
-				e := heap.Pop(&pq).(evalEntry)
-				if !set.alive[e.point] || e.seq != seq[e.point] {
-					continue // superseded or removed
-				}
-				if e.epoch == iter {
-					fresh = e
-					break
-				}
-				batch = append(batch, e)
-			}
-			if len(batch) == 0 {
-				// Fresh value on top: it is the lowest-index argmin
-				// (Lemma 3 case 1 — every remaining key is a lower bound
-				// at or above it).
-				chosen, chosenVal = fresh.point, fresh.val
-				break
-			}
-			sweeps++
-			stats.Evaluations += len(batch)
-			stats.SpeculativeEvals += len(batch) - 1
-			for i := range batch {
-				seq[batch[i].point]++
-				if i > 0 {
-					spec = append(spec, batch[i].point)
-				}
-			}
-			if len(batch) == 1 {
-				// The head entry alone: refresh inline, exactly the serial
-				// pop-refresh step.
-				v, r := evaluate(batch[0].point)
-				stats.UserRescans += r
-				heap.Push(&pq, evalEntry{point: batch[0].point, val: v, epoch: iter, seq: seq[batch[0].point]})
-			} else {
-				out := refreshed[:len(batch)]
-				ents := batch
-				if err := pool.runWide(ctx, len(ents), func(w, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						if ctx.Err() != nil {
-							return
-						}
-						v, r := evaluate(ents[i].point)
-						out[i] = refresh{val: v, rescans: r}
-					}
-				}); err != nil {
-					return nil, stats, err
-				}
-				for i := range ents {
-					stats.UserRescans += out[i].rescans
-					heap.Push(&pq, evalEntry{point: ents[i].point, val: out[i].val, epoch: iter, seq: seq[ents[i].point]})
-				}
-			}
-			if fresh.point >= 0 {
-				heap.Push(&pq, fresh)
-			}
+		// The queue holds exactly one entry per alive point: it starts
+		// with one per point, a refresh updates the head in place, and the
+		// chosen point's entry is popped and never pushed back. So the
+		// head is always a live candidate. A stale head is refreshed in
+		// place and sifted down; a fresh head is the lowest-index argmin
+		// (Lemma 3 case 1 — every other key is a lower bound at or above
+		// it).
+		for pq[0].epoch != iter {
+			v, r := evaluate(pq[0].point)
+			stats.Evaluations++
+			stats.UserRescans += r
+			pq[0].val, pq[0].epoch = v, iter
+			heap.Fix(&pq, 0)
 		}
+		head := heap.Pop(&pq).(evalEntry)
+		chosen, chosenVal := head.point, head.val
 		stats.EvalSkipped += set.count - (stats.Evaluations - evalsBefore)
-		// Round span: the refresh batches are deterministic (bit-identical
+		// Round span: the refresh sequence is deterministic (bit-identical
 		// heap state at any worker count), so the computed-eval count is a
 		// pure function of the instance and the trace shape stays fixed.
 		_, round := obs.Start(ctx, "round")
 		round.SetAttrInt("iter", stats.Iterations)
 		round.SetAttrInt("evals", stats.Evaluations-evalsBefore)
-		iterHits, iterWaste := 0, 0
-		for _, p := range spec {
-			if p == chosen {
-				iterHits++
-			} else {
-				iterWaste++
-			}
-		}
-		stats.SpeculativeHits += iterHits
-		stats.SpeculativeWaste += iterWaste
-		if adaptive {
-			switch {
-			case sweeps > 1 && lazyB < adaptiveMaxBatch:
-				// Head churn: the refreshed head kept getting displaced,
-				// costing serial refresh rounds a bigger batch merges.
-				lazyB *= 2
-				stats.AdaptiveGrows++
-			case sweeps == 1 && iterWaste > lazyB/2 && lazyB > adaptiveMinBatch:
-				// Waste spike: resolved on the first sweep but more than
-				// half the batch was speculation the iteration never used.
-				lazyB /= 2
-				stats.AdaptiveShrinks++
-			}
-			stats.LazyBatch = lazyB
-		}
 
 		set.remove(chosen)
 		arrSum = chosenVal
@@ -280,21 +168,10 @@ func lazyShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, e
 	return set.members(), stats, nil
 }
 
-// Adaptive LazyBatch controller constants: the batch starts mid-range
-// (so both decisions are reachable), doubles on multi-sweep iterations,
-// and halves on single-sweep iterations that wasted more than half
-// their batch; iterations between the two thresholds hold the size.
-const (
-	adaptiveStartBatch = 8
-	adaptiveMinBatch   = 2
-	adaptiveMaxBatch   = 64
-)
-
 type evalEntry struct {
 	point int
 	val   float64
 	epoch int // iteration the value was computed in
-	seq   int // entry generation; stale generations are discarded
 }
 
 // evalQueue is a min-heap on (val, point); the point tiebreak keeps the

@@ -20,47 +20,21 @@ func (in *Instance) Parallelism() int {
 // concurrently with a running solver.
 func (in *Instance) SetParallelism(p int) { in.par = p }
 
-// LazyBatch returns the effective refresh batch size of the lazy
-// GREEDY-SHRINK strategy (at least 1; 1 means the serial pop-refresh
-// loop). When the adaptive controller is enabled (negative setting)
-// this is the serial floor; the controller's live size is reported in
-// ShrinkStats.LazyBatch.
-func (in *Instance) LazyBatch() int {
-	if in.lazyBatch < 1 {
-		return 1
-	}
-	return in.lazyBatch
-}
-
-// LazyBatchAdaptive reports whether the lazy strategy's refresh batch
-// size is driven by the adaptive controller (negative LazyBatch
-// setting): the batch grows while speculative waste stays low and
-// shrinks on waste spikes.
-func (in *Instance) LazyBatchAdaptive() bool { return in.lazyBatch < 0 }
-
-// SetLazyBatch changes the lazy strategy's refresh batch size (0 or 1 =
-// serial refresh, >1 = fixed batch, negative = adaptive controller).
-// Selected sets and FinalARR are identical at any setting; evaluation-
-// count statistics may differ. It must not be called concurrently with
-// a running solver.
-func (in *Instance) SetLazyBatch(b int) { in.lazyBatch = b }
-
 // Pool returns the externally owned worker pool the instance dispatches
 // on (nil = spawn goroutines per call).
 func (in *Instance) Pool() *par.Pool { return in.pool }
 
 // WithExecution returns a shallow clone of the instance with different
-// execution knobs: worker bound, lazy refresh batch, worker pool, and
-// default scheduling attributes for the clone's pool fan-outs. The
-// clone shares every preprocessing artifact (points, utility functions,
-// the materialized utility matrix, best-point indexes) with the receiver
-// — an Instance is immutable after construction, so a serving engine can
-// cache one preprocessed Instance per dataset and hand each concurrent
-// query its own clone with per-request settings at zero copy cost.
-func (in *Instance) WithExecution(parallelism, lazyBatch int, pool *par.Pool, attrs sched.Attrs) *Instance {
+// execution knobs: worker bound, worker pool, and default scheduling
+// attributes for the clone's pool fan-outs. The clone shares every
+// preprocessing artifact (points, utility functions, the materialized
+// utility matrix, best-point indexes) with the receiver — an Instance
+// is immutable after construction, so a serving engine can cache one
+// preprocessed Instance per dataset and hand each concurrent query its
+// own clone with per-request settings at zero copy cost.
+func (in *Instance) WithExecution(parallelism int, pool *par.Pool, attrs sched.Attrs) *Instance {
 	cp := *in
 	cp.par = parallelism
-	cp.lazyBatch = lazyBatch
 	cp.pool = pool
 	cp.sched = attrs
 	return &cp

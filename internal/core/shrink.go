@@ -67,26 +67,6 @@ type ShrinkStats struct {
 	Workers         int // worker goroutines available to the query phase (1 = serial)
 	ParallelBatches int // evaluation batches sharded across workers
 	SerialBatches   int // batches run inline to avoid dispatch contention
-
-	// Batched-lazy counters (StrategyLazy with LazyBatch > 1). A
-	// speculative refresh re-evaluates a stale queue entry below the
-	// queue head, work the serial pop-refresh loop might have skipped.
-	// A hit means the speculatively refreshed entry became the removed
-	// point of its iteration; a waste means it did not (its exact value
-	// still tightens the entry's lower bound for later iterations).
-	// All three are zero when LazyBatch <= 1.
-	LazyBatch        int // effective refresh batch size (1 = serial; adaptive: final controller value)
-	SpeculativeEvals int // stale entries refreshed below the queue head
-	SpeculativeHits  int // speculative refreshes that resolved their iteration
-	SpeculativeWaste int // speculative refreshes that did not (Evals - Hits)
-
-	// Adaptive-controller counters (negative LazyBatch option): the
-	// controller doubles the batch while an iteration's speculative
-	// waste fraction stays low and halves it on waste spikes. The
-	// selected set and FinalARR are identical to any fixed batch size —
-	// only the work counters move with the controller's trajectory.
-	AdaptiveGrows   int // batch-size doublings
-	AdaptiveShrinks int // batch-size halvings after waste spikes
 }
 
 // ErrBadK is returned when k is out of (0, n].

@@ -64,11 +64,6 @@ type Exec struct {
 	// the experiments (0 = all CPUs, 1 = serial). Results are identical
 	// at any setting; only the timing columns change.
 	Parallelism int
-	// LazyBatch sets the lazy strategy's refresh batch size on every
-	// instance (<=1 = the paper's serial pop-refresh loop). Tables are
-	// identical at any setting; only the lazy work counters and timings
-	// change.
-	LazyBatch int
 	// Priority is the scheduling class the run's fan-outs are tagged
 	// with, for experiments sharing a process (and its worker pool) with
 	// serving traffic. Tables are identical at any class.
@@ -205,7 +200,7 @@ func newPrep(ds *dataset.Dataset, dist utility.Distribution, n int, seed uint64,
 	if err != nil {
 		return nil, err
 	}
-	in, err := core.NewInstance(points, funcs, core.Options{Parallelism: cfg.Exec.Parallelism, LazyBatch: cfg.Exec.LazyBatch, Sched: cfg.Exec.schedAttrs()})
+	in, err := core.NewInstance(points, funcs, core.Options{Parallelism: cfg.Exec.Parallelism, Sched: cfg.Exec.schedAttrs()})
 	if err != nil {
 		return nil, err
 	}

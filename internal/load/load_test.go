@@ -124,6 +124,34 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// Traces recorded before the lazy_batch exec knob was retired still
+// decode — the field is dropped as an unknown key — and replay cleanly.
+func TestTraceRetiredExecKnobReplays(t *testing.T) {
+	const old = `{"t_ms":0,"dataset":"tiny","k":3,"algorithm":"greedy-shrink-lazy","seed":1,"sample_size":40,"lazy_batch":4}
+{"t_ms":1,"dataset":"tiny","k":3,"algorithm":"greedy-shrink-lazy","seed":2,"sample_size":40,"parallelism":2,"lazy_batch":4611686018427387904}
+`
+	got, err := ReadTrace(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
+	}
+	want, err := ReadTrace(strings.NewReader(strings.NewReplacer(`,"lazy_batch":4611686018427387904`, "", `,"lazy_batch":4`, "").Replace(old)))
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("lazy_batch changed the decoded entries: %+v vs %+v", got, want)
+	}
+	outcomes, _, err := Run(context.Background(), EngineTarget{Engine: newLoadEngine(t)}, got, RunConfig{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, o := range outcomes {
+		if o.Status != 200 {
+			t.Fatalf("outcome %d: status %d (%s)", o.I, o.Status, o.Err)
+		}
+	}
+}
+
 func TestParseMix(t *testing.T) {
 	ts, err := ParseMix("ds=hotels,k=2-4,prio=high,deadline=200,par=4,w=3;ds=cat,k=5|9,seed=1|2,algo=greedy-add")
 	if err != nil {

@@ -136,7 +136,6 @@ type (
 	}
 	httpExecRequest struct {
 		Parallelism int    `json:"parallelism,omitempty"`
-		LazyBatch   int    `json:"lazy_batch,omitempty"`
 		Priority    string `json:"priority,omitempty"`
 		DeadlineMS  int64  `json:"deadline_ms,omitempty"`
 		MaxQueue    int    `json:"max_queue,omitempty"`
@@ -167,12 +166,11 @@ func (t HTTPTarget) Do(ctx context.Context, req Request) Outcome {
 	// the exec block (Request embeds both, and the member's exec fields
 	// are omitempty-zero after this split).
 	member := req
-	member.Parallelism, member.LazyBatch, member.Priority, member.DeadlineMS, member.MaxQueue = 0, 0, "", 0, 0
+	member.Parallelism, member.Priority, member.DeadlineMS, member.MaxQueue = 0, "", 0, 0
 	body, err := json.Marshal(httpBatchRequest{
 		Queries: []Request{member},
 		Exec: httpExecRequest{
 			Parallelism: req.Parallelism,
-			LazyBatch:   req.LazyBatch,
 			Priority:    req.Priority,
 			DeadlineMS:  req.DeadlineMS,
 			MaxQueue:    req.MaxQueue,

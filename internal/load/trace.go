@@ -46,7 +46,6 @@ type Request struct {
 
 	// Execution-policy knobs, mirroring the v2 exec block.
 	Parallelism int    `json:"parallelism,omitempty"`
-	LazyBatch   int    `json:"lazy_batch,omitempty"`
 	Priority    string `json:"priority,omitempty"`
 	DeadlineMS  int64  `json:"deadline_ms,omitempty"`
 	MaxQueue    int    `json:"max_queue,omitempty"`
@@ -91,7 +90,6 @@ const maxDeadlineMS = int64(365 * 24 * time.Hour / time.Millisecond)
 func (r Request) Exec(now time.Time) (fam.Exec, error) {
 	exec := fam.Exec{
 		Parallelism: r.Parallelism,
-		LazyBatch:   r.LazyBatch,
 		MaxQueue:    r.MaxQueue,
 	}
 	if r.Priority != "" {

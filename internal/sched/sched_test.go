@@ -625,9 +625,13 @@ func TestPerClassStaleAccountingConcurrent(t *testing.T) {
 				}
 				select {
 				case <-stop:
-					if q.Pop() == nil {
+					// One last drain pass: a ticket granted here must
+					// still run, or granted and executed drift apart.
+					run := q.Pop()
+					if run == nil {
 						return
 					}
+					run()
 				default:
 				}
 			}

@@ -265,7 +265,6 @@ func assemble(ctx context.Context, ds *Dataset, candidates []int, funcs []Utilit
 		Weights:     weights,
 		Float32:     q.Float32,
 		Parallelism: exec.Parallelism,
-		LazyBatch:   exec.LazyBatch,
 		Pool:        exec.pool,
 		Sched:       exec.attrs(),
 	})

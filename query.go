@@ -90,9 +90,10 @@ type Query struct {
 }
 
 // Exec is the execution policy: knobs that change how fast a query runs
-// but never what it answers. PR 1–3 established bit-identity of every
-// solver across all of these; keeping them out of Query is what lets an
-// Engine share one cached result across every execution configuration.
+// but never what it answers. Every solver is bit-identical across all of
+// them — selected sets, metrics and work counters alike; keeping them out
+// of Query is what lets an Engine share one cached result across every
+// execution configuration.
 type Exec struct {
 	// Parallelism bounds the worker goroutines used for preprocessing and
 	// for the per-candidate evaluations inside every solver. All parallel
@@ -100,14 +101,6 @@ type Exec struct {
 	// bit-identical at any setting. Zero uses every CPU (GOMAXPROCS); one
 	// forces serial execution.
 	Parallelism int
-	// LazyBatch sets the refresh batch size of GreedyShrinkLazy: up to
-	// LazyBatch stale evaluation-queue entries are re-evaluated
-	// concurrently instead of one at a time. Selected sets and all quality
-	// metrics are identical at any batch size; only the work counters in
-	// Telemetry move. Zero or one keeps the paper's serial pop-refresh
-	// loop. Ignored by every other algorithm.
-	LazyBatch int
-
 	// Priority is the query's scheduling class. Under load, the shared
 	// pool's grant policy serves queued helper requests of higher classes
 	// first (weighted priority, then earliest deadline, then arrival);
@@ -271,11 +264,10 @@ func (x Exec) withWait(w *sched.WaitCounter) Exec {
 }
 
 // Telemetry reports how a query was executed: timings and work counters
-// that depend on the Exec (worker counts, dispatch batches, speculative
-// refreshes) and therefore do not belong in the cacheable Result. A
-// result-cache hit reports the hit's own execution (its timings are the
-// cache lookup's, near zero) and carries the filling execution's
-// Telemetry under Replay.
+// that depend on the Exec (worker counts, dispatch batches) and
+// therefore do not belong in the cacheable Result. A result-cache hit
+// reports the hit's own execution (its timings are the cache lookup's,
+// near zero) and carries the filling execution's Telemetry under Replay.
 type Telemetry struct {
 	// Preprocess covers skyline computation, utility sampling and
 	// best-point indexing; Query covers the selection algorithm itself —
@@ -296,8 +288,7 @@ type Telemetry struct {
 	// sum including them is EngineStats.Sched.QueueWait.
 	QueueWait time.Duration
 	// Stats carries the GREEDY-SHRINK / GreedyAdd work counters when
-	// applicable (iterations, evaluations, lazy skips, worker dispatch,
-	// speculative refresh accounting).
+	// applicable (iterations, evaluations, lazy skips, worker dispatch).
 	Stats ShrinkStats
 	// Replay carries the Telemetry of the execution that filled the
 	// result-cache entry when this query was answered from the cache

@@ -103,7 +103,6 @@ func (r *QueryRequest) toQuery() fam.Query {
 // computed.
 type ExecRequest struct {
 	Parallelism int `json:"parallelism,omitempty"`
-	LazyBatch   int `json:"lazy_batch,omitempty"`
 	// Priority is the scheduling class: "low", "normal" (default), or
 	// "high". Under load the pool grants helpers to higher classes
 	// first.
@@ -126,7 +125,7 @@ type ExecRequest struct {
 
 // toExec resolves the wire exec policy at the given arrival time.
 func (r ExecRequest) toExec(now time.Time) (fam.Exec, error) {
-	exec := fam.Exec{Parallelism: r.Parallelism, LazyBatch: r.LazyBatch, MaxQueue: r.MaxQueue}
+	exec := fam.Exec{Parallelism: r.Parallelism, MaxQueue: r.MaxQueue}
 	if r.Priority != "" {
 		p, err := fam.ParsePriority(r.Priority)
 		if err != nil {
@@ -247,7 +246,6 @@ func (h *Handler) recordTrace(exec ExecRequest, members []QueryRequest) {
 			DisableSkyline: m.DisableSkyline,
 			Set:            m.Set,
 			Parallelism:    exec.Parallelism,
-			LazyBatch:      exec.LazyBatch,
 			Priority:       exec.Priority,
 			DeadlineMS:     exec.DeadlineMS,
 			MaxQueue:       exec.MaxQueue,
@@ -287,16 +285,18 @@ type BatchSelectResponse struct {
 // SelectRequest is the body of POST /v1/select: a single semantic query
 // with the execution knobs inlined (the pre-split v1 shape).
 type SelectRequest struct {
-	Dataset        string  `json:"dataset"`
-	K              int     `json:"k"`
-	Algorithm      string  `json:"algorithm,omitempty"`
-	Seed           uint64  `json:"seed,omitempty"`
-	Epsilon        float64 `json:"epsilon,omitempty"`
-	Sigma          float64 `json:"sigma,omitempty"`
-	SampleSize     int     `json:"sample_size,omitempty"`
-	Parallelism    int     `json:"parallelism,omitempty"`
-	LazyBatch      int     `json:"lazy_batch,omitempty"`
-	DisableSkyline bool    `json:"disable_skyline,omitempty"`
+	Dataset     string  `json:"dataset"`
+	K           int     `json:"k"`
+	Algorithm   string  `json:"algorithm,omitempty"`
+	Seed        uint64  `json:"seed,omitempty"`
+	Epsilon     float64 `json:"epsilon,omitempty"`
+	Sigma       float64 `json:"sigma,omitempty"`
+	SampleSize  int     `json:"sample_size,omitempty"`
+	Parallelism int     `json:"parallelism,omitempty"`
+	// LazyBatch is accepted and ignored: the field is kept so the frozen
+	// v1 wire still decodes requests that carry it.
+	LazyBatch      int  `json:"lazy_batch,omitempty"`
+	DisableSkyline bool `json:"disable_skyline,omitempty"`
 }
 
 // Metrics is the JSON shape of fam.Metrics.
@@ -328,19 +328,15 @@ func toMetrics(m fam.Metrics) Metrics {
 // its own near-zero timings, with the computing execution's telemetry
 // under Replayed.
 type TelemetryResponse struct {
-	PreprocessMS     float64 `json:"preprocess_ms"`
-	QueryMS          float64 `json:"query_ms"`
-	QueueWaitMS      float64 `json:"queue_wait_ms,omitempty"`
-	Workers          int     `json:"workers,omitempty"`
-	ParallelBatches  int     `json:"parallel_batches,omitempty"`
-	SerialBatches    int     `json:"serial_batches,omitempty"`
-	Iterations       int     `json:"iterations,omitempty"`
-	Evaluations      int     `json:"evaluations,omitempty"`
-	EvalSkipped      int     `json:"eval_skipped,omitempty"`
-	LazyBatch        int     `json:"lazy_batch,omitempty"`
-	SpeculativeEvals int     `json:"speculative_evals,omitempty"`
-	SpeculativeHits  int     `json:"speculative_hits,omitempty"`
-	SpeculativeWaste int     `json:"speculative_waste,omitempty"`
+	PreprocessMS    float64 `json:"preprocess_ms"`
+	QueryMS         float64 `json:"query_ms"`
+	QueueWaitMS     float64 `json:"queue_wait_ms,omitempty"`
+	Workers         int     `json:"workers,omitempty"`
+	ParallelBatches int     `json:"parallel_batches,omitempty"`
+	SerialBatches   int     `json:"serial_batches,omitempty"`
+	Iterations      int     `json:"iterations,omitempty"`
+	Evaluations     int     `json:"evaluations,omitempty"`
+	EvalSkipped     int     `json:"eval_skipped,omitempty"`
 	// Replayed is the telemetry of the execution that computed a
 	// replayed answer: the result-cache filler, or the batch-dedup
 	// leader. Present exactly when the answer was a replay.
@@ -355,19 +351,15 @@ func toTelemetry(t *fam.Telemetry, withTrace bool) *TelemetryResponse {
 		return nil
 	}
 	out := &TelemetryResponse{
-		PreprocessMS:     float64(t.Preprocess) / float64(time.Millisecond),
-		QueryMS:          float64(t.Query) / float64(time.Millisecond),
-		QueueWaitMS:      float64(t.QueueWait) / float64(time.Millisecond),
-		Workers:          t.Stats.Workers,
-		ParallelBatches:  t.Stats.ParallelBatches,
-		SerialBatches:    t.Stats.SerialBatches,
-		Iterations:       t.Stats.Iterations,
-		Evaluations:      t.Stats.Evaluations,
-		EvalSkipped:      t.Stats.EvalSkipped,
-		LazyBatch:        t.Stats.LazyBatch,
-		SpeculativeEvals: t.Stats.SpeculativeEvals,
-		SpeculativeHits:  t.Stats.SpeculativeHits,
-		SpeculativeWaste: t.Stats.SpeculativeWaste,
+		PreprocessMS:    float64(t.Preprocess) / float64(time.Millisecond),
+		QueryMS:         float64(t.Query) / float64(time.Millisecond),
+		QueueWaitMS:     float64(t.QueueWait) / float64(time.Millisecond),
+		Workers:         t.Stats.Workers,
+		ParallelBatches: t.Stats.ParallelBatches,
+		SerialBatches:   t.Stats.SerialBatches,
+		Iterations:      t.Stats.Iterations,
+		Evaluations:     t.Stats.Evaluations,
+		EvalSkipped:     t.Stats.EvalSkipped,
 	}
 	if t.Replay != nil {
 		out.Replayed = toTelemetry(t.Replay, false)
@@ -841,7 +833,7 @@ func (h *Handler) handleSelect(w http.ResponseWriter, r *http.Request) {
 		}
 		member.Algorithm = algo
 	}
-	exec, err := h.resolveExec(r, ExecRequest{Parallelism: req.Parallelism, LazyBatch: req.LazyBatch}, member)
+	exec, err := h.resolveExec(r, ExecRequest{Parallelism: req.Parallelism}, member)
 	if err != nil {
 		h.writeError(w, r, http.StatusBadRequest, err)
 		return

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -339,6 +341,65 @@ func TestServeV1ShimMatchesV2(t *testing.T) {
 		}
 		if slot.Metrics.ARR != v1.Metrics.ARR || slot.ExactARR != v1.ExactARR || slot.SkylineSize != v1.SkylineSize {
 			t.Fatalf("%s: metrics differ: v1 %+v v2 %+v", algo, v1.Metrics, slot.Metrics)
+		}
+	}
+}
+
+// TestServeRetiredExecKnobIgnored: lazy_batch is a retired exec knob. Both
+// wires still accept it — v1 keeps the field in its frozen struct, v2
+// drops it as an unknown key — and neither lets it change the answer or
+// fail the request, whatever its size. Every request runs on a fresh
+// server so the solver, not the result cache, answers it.
+func TestServeRetiredExecKnobIgnored(t *testing.T) {
+	const (
+		v1Body = `{"dataset":"hotels","k":4,"seed":9,"sample_size":100,"algorithm":"greedy-shrink-lazy"%s}`
+		v2Body = `{"queries":[{"dataset":"hotels","k":4,"seed":9,"sample_size":100,"algorithm":"greedy-shrink-lazy"}],"exec":{%s}}`
+	)
+	post := func(url, body string) (int, SelectResponse) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out SelectResponse
+		if strings.HasSuffix(url, "/v2/select") {
+			var v2 BatchSelectResponse
+			if err := json.NewDecoder(resp.Body).Decode(&v2); err != nil {
+				t.Fatalf("decoding %s: %v", body, err)
+			}
+			if len(v2.Results) != 1 {
+				t.Fatalf("%s: %d results", body, len(v2.Results))
+			}
+			if slot := v2.Results[0]; slot.Error != "" {
+				return slot.Status, out
+			}
+			return resp.StatusCode, *v2.Results[0].SelectResponse
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+		return resp.StatusCode, out
+	}
+	for _, wire := range []struct{ path, body, field string }{
+		{"/v1/select", v1Body, `,"lazy_batch":%s`},
+		{"/v2/select", v2Body, `"lazy_batch":%s`},
+	} {
+		ref, _ := newTestServer(t)
+		code, want := post(ref.URL+wire.path, fmt.Sprintf(wire.body, ""))
+		if code != http.StatusOK {
+			t.Fatalf("%s without lazy_batch: status %d", wire.path, code)
+		}
+		for _, lb := range []string{"4", "4611686018427387904"} {
+			srv, _ := newTestServer(t)
+			body := fmt.Sprintf(wire.body, fmt.Sprintf(wire.field, lb))
+			code, got := post(srv.URL+wire.path, body)
+			if code != http.StatusOK {
+				t.Fatalf("%s: status %d, want 200", body, code)
+			}
+			if !reflect.DeepEqual(got.Indices, want.Indices) || !reflect.DeepEqual(got.Metrics, want.Metrics) {
+				t.Fatalf("%s: answer changed: %v %+v, want %v %+v", body, got.Indices, got.Metrics, want.Indices, want.Metrics)
+			}
 		}
 	}
 }
