@@ -169,7 +169,10 @@ func TestFamloadHTTPMode(t *testing.T) {
 // wider than one goroutine (par=4) on a small pool produce live helper
 // grants, and both the per-class grant rates and the queue-wait
 // percentiles in the report come back non-zero from the /metrics and
-// telemetry paths of a real famserve.
+// telemetry paths of a real famserve. Each template draws from six
+// seeds, so the requests keep building and solving instances: a K-sweep
+// of one instance is mostly read from its recorded GREEDY-SHRINK
+// trajectory and would leave too few fan-outs to saturate the pool.
 func TestFamloadHTTPQueueWaitUnderSaturation(t *testing.T) {
 	engine, _, err := load.BuildEngine(fam.EngineConfig{Workers: 2}, tinySpec, 0)
 	if err != nil {
@@ -185,7 +188,7 @@ func TestFamloadHTTPQueueWaitUnderSaturation(t *testing.T) {
 	err = run(context.Background(), []string{
 		"-url", srv.URL,
 		"-rate", "300", "-duration", "400ms",
-		"-mix", "ds=tiny,k=2-4,n=40,par=4,prio=high;ds=tiny,k=3|5,n=40,par=4,prio=low",
+		"-mix", "ds=tiny,k=2-4,seed=1|2|3|4|5|6,n=40,par=4,prio=high;ds=tiny,k=3|5,seed=1|2|3|4|5|6,n=40,par=4,prio=low",
 		"-label", "qw", "-out", out, "-paced", "off", "-seed", "3",
 	}, &buf)
 	if err != nil {

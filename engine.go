@@ -42,12 +42,26 @@ import (
 // Telemetry.Replay) and Result.Cached marks answers served from the
 // result cache.
 //
+// GREEDY-SHRINK removes one point per iteration, so one run down to a
+// single point holds the answer for every K. A GreedyShrink,
+// GreedyShrinkLazy or GreedyShrinkNaive selection that misses the
+// result cache looks up its instance's recorded trajectory, keyed by
+// the instance, the strategy and the effective worker bound. A key's
+// first sighting only marks the key and runs the solver as one-shot
+// Select does; the second records the run down to one point
+// (core.ShrinkTrajectory), and every later K is read from the recording
+// (Telemetry.FromTrajectory) with the same Result and Telemetry.Stats a
+// run to K reports. A K above about n/2 neither marks nor records, so a
+// recording makes at most about twice a run's iterations. Trajectories
+// live in their own LRU under the result cache's entry and byte limits.
+//
 // All methods are safe for concurrent use. Close releases the pool;
 // queries issued after Close return ErrEngineClosed.
 type Engine struct {
 	pool    *par.Pool
 	prep    *ecache.Cache
 	results *ecache.Cache
+	trajs   *ecache.Cache // recorded GREEDY-SHRINK runs, behind a doorkeeper
 
 	mu       sync.RWMutex
 	datasets map[string]*registration
@@ -90,12 +104,14 @@ type EngineConfig struct {
 	// 0 = default (256), negative = unbounded.
 	PrepCacheSize int
 	// ResultCacheSize bounds the result cache in entries. 0 = default
-	// (1024), negative = unbounded.
+	// (1024), negative = unbounded. The trajectory cache gets the same
+	// bound.
 	ResultCacheSize int
 	// PrepCacheBytes and ResultCacheBytes additionally bound each cache
 	// by estimated resident bytes (0 = no byte budget). Long-running
 	// multi-tenant processes use these to cap memory instead of guessing
 	// an entry count; the least recently used entries are evicted first.
+	// ResultCacheBytes bounds the trajectory cache too, separately.
 	PrepCacheBytes   int64
 	ResultCacheBytes int64
 	// PrepCacheTTL and ResultCacheTTL expire entries that have lived
@@ -155,6 +171,11 @@ func NewEngine(cfg EngineConfig) *Engine {
 			MaxBytes:   cfg.ResultCacheBytes,
 			TTL:        cfg.ResultCacheTTL,
 			Size:       answerSize,
+		}),
+		trajs: ecache.NewCacheConfig(ecache.Config{
+			MaxEntries: capacity(cfg.ResultCacheSize, DefaultResultCacheSize),
+			MaxBytes:   cfg.ResultCacheBytes,
+			Size:       trajectorySize,
 		}),
 		datasets: make(map[string]*registration),
 		start:    time.Now(),
@@ -326,7 +347,7 @@ func (e *Engine) Select(ctx context.Context, q Query, exec Exec) (*Result, *Tele
 			return nil, err
 		}
 		preprocess := time.Since(prepStart)
-		res, tel, err := solve(fillCtx, reg.ds, reg.dist, prep, q, exec.withPool(e.pool))
+		res, tel, err := solve(fillCtx, reg.ds, reg.dist, prep, q, exec.withPool(e.pool), e.shrink)
 		if err != nil {
 			return nil, err
 		}
@@ -366,6 +387,44 @@ func (e *Engine) Select(ctx context.Context, q Query, exec Exec) (*Result, *Tele
 	// into the cached entry.
 	tel.Trace = traceOf(span)
 	return res, &tel, nil
+}
+
+// shrink answers a GREEDY-SHRINK selection from the instance's recorded
+// trajectory. The trajectory cache's doorkeeper admits a key on its
+// second sighting; a first sighting runs the solver to K as one-shot
+// Select does. Only a K whose run makes at least half of a recording's
+// n-1 iterations counts as a sighting or records: a larger K reads a
+// stored trajectory if there is one and otherwise runs to K, so a
+// recording never costs much more than the run it replaces. A recording
+// that fails (canceled, or joined from a recorder that was) falls back
+// to the run to K, so it never fails a query that run would answer.
+func (e *Engine) shrink(ctx context.Context, prep *prepared, k int, strategy core.Strategy) ([]int, core.ShrinkStats, bool, error) {
+	in := prep.in
+	key := fmt.Sprintf("traj|%s|strategy=%s|workers=%d", prep.key, strategy, in.Parallelism())
+	var (
+		v        any
+		hit      bool
+		admitted bool
+		err      error
+	)
+	if n := in.NumPoints(); 2*(n-k) >= n-1 {
+		v, hit, admitted, err = e.trajs.DoAdmitted(ctx, key, func(ctx context.Context) (any, error) {
+			return core.ShrinkTrajectory(ctx, in, strategy)
+		})
+	} else {
+		v, hit = e.trajs.Get(key)
+		admitted = hit
+	}
+	if admitted && err == nil {
+		_, span := obs.Start(ctx, "trajectory")
+		span.SetAttrBool("hit", hit)
+		span.SetAttrInt("k", k)
+		defer span.End()
+		set, stats, err := v.(*core.Trajectory).At(in, k)
+		return set, stats, true, err
+	}
+	set, stats, err := core.GreedyShrink(ctx, in, k, strategy)
+	return set, stats, false, err
 }
 
 // markShared annotates a singleflight fill span with shared=true when
@@ -565,6 +624,15 @@ func answerSize(v any) int64 {
 	return size
 }
 
+// trajectorySize reports the exact resident bytes of a recorded
+// trajectory.
+func trajectorySize(v any) int64 {
+	if t, ok := v.(*core.Trajectory); ok {
+		return t.MemoryFootprint()
+	}
+	return 0
+}
+
 // prepSize reports the resident bytes of one preprocessing-cache entry
 // exactly: skyline and coreset indexes and candidate/weight slices by
 // length, the sampled function set through utility.Footprint (each
@@ -641,6 +709,11 @@ type EngineStats struct {
 	// the eviction-policy knobs of EngineConfig.
 	PrepCache   CacheStats `json:"prep_cache"`
 	ResultCache CacheStats `json:"result_cache"`
+	// TrajectoryCache tracks recorded GREEDY-SHRINK trajectories (see
+	// Engine): Rejected counts first sightings that only marked a key,
+	// Misses the recordings begun, Hits the answers read from a stored
+	// trajectory, Bytes their exact footprint.
+	TrajectoryCache CacheStats `json:"trajectory_cache"`
 	// Sched reports the shared pool's grant-queue counters: the active
 	// policy, grants and their summed queue wait, pool-level sheds, and
 	// the current queue depth.
@@ -692,18 +765,19 @@ func (e *Engine) Stats() EngineStats {
 	batches := e.batches.Load()
 	batchQueries := e.batchQueries.Load()
 	return EngineStats{
-		Datasets:      n,
-		PoolWorkers:   e.pool.Size(),
-		Selects:       e.selects.Load(),
-		Evaluates:     e.evaluates.Load(),
-		Batches:       batches,
-		BatchQueries:  batchQueries,
-		Shed:          e.sheds.Load(),
-		PlannedDedups: plannedDedups,
-		PlanGroups:    planGroups,
-		PrepCache:     e.prep.Stats(),
-		ResultCache:   e.results.Stats(),
-		Sched:         e.pool.SchedStats(),
-		Uptime:        time.Since(e.start),
+		Datasets:        n,
+		PoolWorkers:     e.pool.Size(),
+		Selects:         e.selects.Load(),
+		Evaluates:       e.evaluates.Load(),
+		Batches:         batches,
+		BatchQueries:    batchQueries,
+		Shed:            e.sheds.Load(),
+		PlannedDedups:   plannedDedups,
+		PlanGroups:      planGroups,
+		PrepCache:       e.prep.Stats(),
+		ResultCache:     e.results.Stats(),
+		TrajectoryCache: e.trajs.Stats(),
+		Sched:           e.pool.SchedStats(),
+		Uptime:          time.Since(e.start),
 	}
 }

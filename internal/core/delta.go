@@ -28,7 +28,7 @@ import (
 // user order. Floating-point accumulation order is therefore identical to
 // the serial run, keeping rc — and every selection — bit-identical at any
 // worker count.
-func deltaShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, error) {
+func deltaShrink(ctx context.Context, in *Instance, k int, rec *Trajectory) ([]int, ShrinkStats, error) {
 	n, N := in.NumPoints(), in.NumFuncs()
 	var stats ShrinkStats
 	pool := newEvalPool(in, &stats)
@@ -110,6 +110,7 @@ func deltaShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, 
 		}
 	}
 
+	rec.record(-1, &stats)
 	argmin := newMinTree(rc)
 	rescan := make([]int32, 0, N) // users needing a second-best refresh
 	for set.count > k {
@@ -203,6 +204,7 @@ func deltaShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, 
 		}
 		usersByBest[chosen] = nil
 		usersBySecond[chosen] = nil
+		rec.record(chosen, &stats)
 		round.End()
 	}
 	return set.members(), stats, nil

@@ -393,9 +393,13 @@ func (in *Instance) RegretRatios(set []int) ([]float64, error) {
 			continue
 		}
 		var best float64
-		for _, p := range set {
-			if v := in.Utility(u, p); v > best {
-				best = v
+		if in.cacheUsed {
+			best = in.mat.SetMax(u, set)
+		} else {
+			for _, p := range set {
+				if v := in.Utility(u, p); v > best {
+					best = v
+				}
 			}
 		}
 		rr := (in.satD[u] - best) / in.satD[u]

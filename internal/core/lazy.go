@@ -31,7 +31,7 @@ import (
 // serial. The pop-refresh loop itself is sequential — each refresh
 // decides whether the next pop happens — which keeps the
 // Evaluations/EvalSkipped counters exact.
-func lazyShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, error) {
+func lazyShrink(ctx context.Context, in *Instance, k int, rec *Trajectory) ([]int, ShrinkStats, error) {
 	n, N := in.NumPoints(), in.NumFuncs()
 	var stats ShrinkStats
 	pool := newEvalPool(in, &stats)
@@ -97,6 +97,7 @@ func lazyShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, e
 	}
 	stats.Evaluations += n
 	heap.Init(&pq)
+	rec.record(-1, &stats)
 
 	type move struct {
 		bi int32
@@ -124,8 +125,8 @@ func lazyShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, e
 			pq[0].val, pq[0].epoch = v, iter
 			heap.Fix(&pq, 0)
 		}
-		head := heap.Pop(&pq).(evalEntry)
-		chosen, chosenVal := head.point, head.val
+		chosen, chosenVal := pq[0].point, pq[0].val
+		pq.popHead()
 		stats.EvalSkipped += set.count - (stats.Evaluations - evalsBefore)
 		// Round span: the refresh sequence is deterministic (bit-identical
 		// heap state at any worker count), so the computed-eval count is a
@@ -163,6 +164,7 @@ func lazyShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, e
 			}
 		}
 		usersByBest[chosen] = nil
+		rec.record(chosen, &stats)
 		round.End()
 	}
 	return set.members(), stats, nil
@@ -193,4 +195,17 @@ func (q *evalQueue) Pop() interface{} {
 	e := old[n-1]
 	*q = old[:n-1]
 	return e
+}
+
+// popHead removes the root in place — the last entry moves to the root
+// and sifts down — leaving the heap heap.Pop would leave without boxing
+// the popped entry in an interface.
+func (q *evalQueue) popHead() {
+	old := *q
+	n := len(old) - 1
+	old[0] = old[n]
+	*q = old[:n]
+	if n > 1 {
+		heap.Fix(q, 0)
+	}
 }

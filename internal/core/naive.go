@@ -16,7 +16,7 @@ import (
 // out across the instance's worker pool; the argmin reduction scans the
 // evaluation buffer in index order with a strict comparison, which keeps
 // the selection identical to the serial lowest-index tie-break.
-func naiveShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, error) {
+func naiveShrink(ctx context.Context, in *Instance, k int, rec *Trajectory) ([]int, ShrinkStats, error) {
 	n, N := in.NumPoints(), in.NumFuncs()
 	var stats ShrinkStats
 	pool := newEvalPool(in, &stats)
@@ -41,6 +41,7 @@ func naiveShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, 
 	}
 
 	vals := make([]float64, n)
+	rec.record(-1, &stats)
 	for set.count > k {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
@@ -75,6 +76,7 @@ func naiveShrink(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, 
 			}
 		}
 		set.remove(chosen)
+		rec.record(chosen, &stats)
 		round.End()
 	}
 	return set.members(), stats, nil

@@ -83,10 +83,29 @@ func GreedyShrink(ctx context.Context, in *Instance, k int, strategy Strategy) (
 	if k <= 0 || k > n {
 		return nil, ShrinkStats{}, fmt.Errorf("%w: k=%d n=%d", ErrBadK, k, n)
 	}
+	set, stats, err := shrink(ctx, in, k, strategy, nil)
+	if err != nil {
+		return nil, stats, err
+	}
+	sort.Ints(set)
+	arr, err := in.ARR(set)
+	if err != nil {
+		return nil, stats, err
+	}
+	stats.FinalARR = arr
+	return set, stats, nil
+}
+
+// shrink runs the strategy's removal loop down to |S| = k under a
+// "shrink" span, appending every iteration to rec when it is non-nil.
+func shrink(ctx context.Context, in *Instance, k int, strategy Strategy, rec *Trajectory) ([]int, ShrinkStats, error) {
 	ctx, span := obs.Start(ctx, "shrink")
 	span.SetAttr("strategy", strategy.String())
-	span.SetAttrInt("n", n)
+	span.SetAttrInt("n", in.NumPoints())
 	span.SetAttrInt("k", k)
+	if rec != nil {
+		span.SetAttrBool("record", true)
+	}
 	defer span.End()
 	var (
 		set   []int
@@ -95,25 +114,16 @@ func GreedyShrink(ctx context.Context, in *Instance, k int, strategy Strategy) (
 	)
 	switch strategy {
 	case StrategyDelta:
-		set, stats, err = deltaShrink(ctx, in, k)
+		set, stats, err = deltaShrink(ctx, in, k, rec)
 	case StrategyLazy:
-		set, stats, err = lazyShrink(ctx, in, k)
+		set, stats, err = lazyShrink(ctx, in, k, rec)
 	case StrategyNaive:
-		set, stats, err = naiveShrink(ctx, in, k)
+		set, stats, err = naiveShrink(ctx, in, k, rec)
 	default:
 		return nil, ShrinkStats{}, fmt.Errorf("core: unknown strategy %d", int(strategy))
 	}
-	if err != nil {
-		return nil, stats, err
-	}
-	sort.Ints(set)
 	stats.Strategy = strategy
-	arr, err := in.ARR(set)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.FinalARR = arr
-	return set, stats, nil
+	return set, stats, err
 }
 
 // aliveSet is the shared mutable selection-set representation: the

@@ -203,7 +203,8 @@ func fuzzTieInput(data []byte) (tieInput, tieMode, int) {
 
 // FuzzShrinkStrategies requires delta ≡ lazy ≡ naive (same set, same
 // FinalARR bits, at Parallelism 1 and 4) on every decodable tie-heavy
-// instance, and that no strategy panics.
+// instance, and that no strategy panics. Each strategy's recorded
+// trajectory must also answer every k exactly as GreedyShrink does.
 func FuzzShrinkStrategies(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 3, 1, 0, 0, 4, 4, 0x80, 0x80, 0, 2, 2, 0, 4, 4, 0x80})
@@ -212,5 +213,6 @@ func FuzzShrinkStrategies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ti, m, k := fuzzTieInput(data)
 		checkStrategiesAgree(t, ti, m, k)
+		checkTrajectoriesAgree(t, ti, m)
 	})
 }

@@ -4,7 +4,9 @@
 // byte budget, and a per-entry TTL. The public fam.Engine composes two of
 // these caches — one for preprocessing artifacts (skyline indexes,
 // sampled utility functions, materialized utility matrices), one for
-// whole query results — over the shared worker pool of internal/par.
+// whole query results — over the shared worker pool of internal/par —
+// and a third, behind a doorkeeper (DoAdmitted), for recorded
+// GREEDY-SHRINK trajectories.
 package engine
 
 import (
@@ -36,8 +38,13 @@ type CacheStats struct {
 	Expired uint64 `json:"expired"`
 	// Errors counts fills that failed; failed fills are never stored.
 	Errors uint64 `json:"errors"`
-	// Entries and Capacity describe the current occupancy in entries
-	// (Capacity 0 = unbounded).
+	// Rejected counts DoAdmitted lookups of a key seen for the first
+	// time: each marked the key as sighted instead of filling. Always 0
+	// for a cache used only through Do.
+	Rejected uint64 `json:"rejected"`
+	// Entries and Capacity describe the current occupancy in stored
+	// values (Capacity 0 = unbounded); DoAdmitted's sighting marks are
+	// kept apart and not counted.
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
 	// Bytes and MaxBytes describe the current occupancy against the byte
@@ -112,6 +119,10 @@ type Cache struct {
 	ll       *list.List               // front = most recently used
 	entries  map[string]*list.Element // value: *entry
 	inflight map[string]*call
+	// seen is DoAdmitted's doorkeeper: keys sighted once and not yet
+	// stored, newest first, at most MaxEntries of them.
+	seen     *list.List
+	seenKeys map[string]*list.Element
 	stats    CacheStats
 	now      func() time.Time // injectable for TTL tests
 }
@@ -142,6 +153,8 @@ func NewCacheConfig(cfg Config) *Cache {
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]*call),
+		seen:     list.New(),
+		seenKeys: make(map[string]*list.Element),
 		now:      time.Now,
 	}
 }
@@ -182,38 +195,15 @@ func (c *Cache) Do(ctx context.Context, key string, fill func(ctx context.Contex
 		return v, true, nil
 	}
 	if cl, ok := c.inflight[key]; ok {
-		c.stats.Coalesced++
-		cl.waiters.Add(1)
-		c.mu.Unlock()
-		select {
-		case <-cl.done:
-			return cl.val, false, cl.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+		return c.wait(ctx, cl)
 	}
-	cl := &call{done: make(chan struct{})}
-	c.inflight[key] = cl
-	c.stats.Misses++
-	c.mu.Unlock()
+	cl := c.begin(key)
 
-	go func() {
-		// WithoutCancel detaches the fill from the requester's lifetime but
-		// keeps ctx values — trace spans and scheduling attributes flow into
-		// the fill. The call handle rides along so the fill can ask Waiters
-		// how many arrivals coalesced onto it.
-		v, ferr := runFill(context.WithValue(context.WithoutCancel(ctx), sharedKey{}, cl), fill)
-		cl.val, cl.err = v, ferr
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if ferr != nil {
-			c.stats.Errors++
-		} else {
-			c.store(key, v)
-		}
-		c.mu.Unlock()
-		close(cl.done)
-	}()
+	// WithoutCancel detaches the fill from the requester's lifetime but
+	// keeps ctx values — trace spans and scheduling attributes flow into
+	// the fill. The call handle rides along so the fill can ask Waiters
+	// how many arrivals coalesced onto it.
+	go c.finish(context.WithValue(context.WithoutCancel(ctx), sharedKey{}, cl), key, cl, fill)
 
 	select {
 	case <-cl.done:
@@ -221,6 +211,85 @@ func (c *Cache) Do(ctx context.Context, key string, fill func(ctx context.Contex
 	case <-ctx.Done():
 		return nil, false, ctx.Err()
 	}
+}
+
+// DoAdmitted is Do behind a doorkeeper, the admission filter of
+// TinyLFU (Einziger et al., 2017): a key is filled only on its second
+// sighting. The first lookup of a key that holds no value marks the key
+// as sighted and returns admitted=false without filling, and the caller
+// computes without the cache. A lookup of a sighted key fills as Do
+// would and reports admitted=true. The marks live in their own set of
+// at most MaxEntries keys, apart from the stored values, so first
+// sightings never evict a value; the oldest mark goes first, and a
+// stored value clears its key's mark.
+//
+// Unlike Do, the fill runs on the caller's goroutine under the caller's
+// context: a canceled or failed fill stores nothing and keeps the mark,
+// so the next lookup fills again. Coalesced arrivals wait for the fill
+// and get its outcome, error included.
+func (c *Cache) DoAdmitted(ctx context.Context, key string, fill func(ctx context.Context) (any, error)) (val any, hit, admitted bool, err error) {
+	c.mu.Lock()
+	if en, ok := c.lookup(key); ok {
+		c.stats.Hits++
+		v := en.val
+		c.mu.Unlock()
+		return v, true, true, nil
+	}
+	if cl, inflight := c.inflight[key]; inflight {
+		val, _, err = c.wait(ctx, cl)
+		return val, false, true, err
+	}
+	if _, sighted := c.seenKeys[key]; !sighted {
+		c.stats.Rejected++
+		c.seenKeys[key] = c.seen.PushFront(key)
+		if c.cfg.MaxEntries > 0 && c.seen.Len() > c.cfg.MaxEntries {
+			delete(c.seenKeys, c.seen.Remove(c.seen.Back()).(string))
+		}
+		c.mu.Unlock()
+		return nil, false, false, nil
+	}
+	cl := c.begin(key)
+	c.finish(context.WithValue(ctx, sharedKey{}, cl), key, cl, fill)
+	return cl.val, false, true, cl.err
+}
+
+// wait joins an in-flight fill. The caller holds c.mu, which wait
+// releases.
+func (c *Cache) wait(ctx context.Context, cl *call) (any, bool, error) {
+	c.stats.Coalesced++
+	cl.waiters.Add(1)
+	c.mu.Unlock()
+	select {
+	case <-cl.done:
+		return cl.val, false, cl.err
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	}
+}
+
+// begin registers a fill of key as in flight and counts the miss. The
+// caller holds c.mu, which begin releases.
+func (c *Cache) begin(key string) *call {
+	cl := &call{done: make(chan struct{})}
+	c.inflight[key] = cl
+	c.stats.Misses++
+	c.mu.Unlock()
+	return cl
+}
+
+// finish runs the fill of cl, stores its value unless it failed, and
+// releases the waiters.
+func (c *Cache) finish(ctx context.Context, key string, cl *call, fill func(ctx context.Context) (any, error)) {
+	cl.val, cl.err = runFill(ctx, fill)
+	c.mu.Lock()
+	delete(c.inflight, key)
+	if cl.err != nil {
+		c.stats.Errors++
+	} else {
+		c.store(key, cl.val)
+	}
+	c.mu.Unlock()
+	close(cl.done)
 }
 
 // runFill calls fill, turning a panic into an error wrapping ErrFillPanic.
@@ -238,9 +307,14 @@ func runFill(ctx context.Context, fill func(ctx context.Context) (any, error)) (
 	return fill(ctx)
 }
 
-// store inserts under the lock and evicts the least recently used
-// entries beyond the entry cap and the byte budget.
+// store inserts a value under the lock, clearing its key's sighting
+// mark, and evicts the least recently used entries beyond the entry cap
+// and the byte budget.
 func (c *Cache) store(key string, val any) {
+	if el, ok := c.seenKeys[key]; ok {
+		c.seen.Remove(el)
+		delete(c.seenKeys, key)
+	}
 	var size int64
 	if c.cfg.Size != nil {
 		size = c.cfg.Size(val)
@@ -278,8 +352,8 @@ func (c *Cache) remove(el *list.Element) {
 	c.bytes -= en.size
 }
 
-// Get returns the cached value without filling (and without disturbing
-// the stats beyond a hit), primarily for tests.
+// Get returns the cached value without filling, sighting or disturbing
+// the stats beyond a hit.
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -338,3 +338,150 @@ func TestCacheEntryAndByteBoundsCompose(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 }
+
+// TestDoAdmittedDoorkeeper: a key's first sighting marks it and fills
+// nothing; the second fills and stores; the third hits.
+func TestDoAdmittedDoorkeeper(t *testing.T) {
+	c := NewCacheConfig(Config{MaxEntries: 4, MaxBytes: 100, Size: func(v any) int64 { return int64(len(v.(string))) }})
+	ctx := context.Background()
+	var fills int
+	fill := func(context.Context) (any, error) { fills++; return "value", nil }
+
+	v, hit, admitted, err := c.DoAdmitted(ctx, "k", fill)
+	if v != nil || hit || admitted || err != nil || fills != 0 {
+		t.Fatalf("first sighting = (%v, %v, %v, %v) after %d fills", v, hit, admitted, err, fills)
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("Get returned a sighting mark")
+	}
+	if s := c.Stats(); s.Rejected != 1 || s.Entries != 0 || s.Bytes != 0 || s.Misses != 0 {
+		t.Fatalf("after the first sighting: %+v", s)
+	}
+	v, hit, admitted, err = c.DoAdmitted(ctx, "k", fill)
+	if v != "value" || hit || !admitted || err != nil || fills != 1 {
+		t.Fatalf("second sighting = (%v, %v, %v, %v) after %d fills", v, hit, admitted, err, fills)
+	}
+	v, hit, admitted, err = c.DoAdmitted(ctx, "k", fill)
+	if v != "value" || !hit || !admitted || err != nil || fills != 1 {
+		t.Fatalf("third sighting = (%v, %v, %v, %v) after %d fills", v, hit, admitted, err, fills)
+	}
+	s := c.Stats()
+	if s.Rejected != 1 || s.Misses != 1 || s.Hits != 1 || s.Entries != 1 || s.Bytes != 5 {
+		t.Fatalf("stats = %+v", s)
+	}
+	// Do never mistakes a sighting mark for a value.
+	if _, _, _, err := c.DoAdmitted(ctx, "m", fill); err != nil {
+		t.Fatal(err)
+	}
+	if v, hit, err := c.Do(ctx, "m", fill); v != "value" || hit || err != nil {
+		t.Fatalf("Do over a sighting mark = (%v, %v, %v)", v, hit, err)
+	}
+}
+
+// TestDoAdmittedMarksNeverEvictValues: the sighting marks are kept apart
+// from the stored values, so more first sightings than the entry cap
+// leave a stored value in place, and the oldest mark is the one
+// forgotten.
+func TestDoAdmittedMarksNeverEvictValues(t *testing.T) {
+	const capacity = 3
+	c := NewCache(capacity)
+	ctx := context.Background()
+	fill := func(context.Context) (any, error) { return "value", nil }
+	for range 2 {
+		if _, _, _, err := c.DoAdmitted(ctx, "stored", fill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range capacity + 1 {
+		if _, _, admitted, err := c.DoAdmitted(ctx, fmt.Sprint("once", i), fill); admitted || err != nil {
+			t.Fatalf("first sighting %d = (admitted %v, %v)", i, admitted, err)
+		}
+	}
+	if v, ok := c.Get("stored"); !ok || v != "value" {
+		t.Fatalf("stored value lost to first sightings: (%v, %v)", v, ok)
+	}
+	if s := c.Stats(); s.Entries != 1 || s.Evictions != 0 || s.Rejected != capacity+2 {
+		t.Fatalf("stats = %+v", s)
+	}
+	// The newest marks survive; the oldest was dropped beyond the cap.
+	if _, _, admitted, _ := c.DoAdmitted(ctx, fmt.Sprint("once", capacity), fill); !admitted {
+		t.Fatal("the newest mark was forgotten")
+	}
+	if _, _, admitted, _ := c.DoAdmitted(ctx, "once0", fill); admitted {
+		t.Fatal("the oldest mark outlived the cap")
+	}
+}
+
+// TestDoAdmittedCanceledFill: the admitted fill runs under the caller's
+// context; a canceled fill stores nothing and keeps the mark, so the
+// next lookup fills again.
+func TestDoAdmittedCanceledFill(t *testing.T) {
+	c := NewCache(0)
+	bg := context.Background()
+	if _, _, _, err := c.DoAdmitted(bg, "k", nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	_, _, admitted, err := c.DoAdmitted(ctx, "k", func(ctx context.Context) (any, error) {
+		return nil, ctx.Err()
+	})
+	if !admitted || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled fill = (admitted %v, %v)", admitted, err)
+	}
+	if s := c.Stats(); s.Errors != 1 || s.Entries != 0 || s.Rejected != 1 {
+		t.Fatalf("after the canceled fill: %+v", s)
+	}
+	v, hit, admitted, err := c.DoAdmitted(bg, "k", func(context.Context) (any, error) { return 7, nil })
+	if v != 7 || hit || !admitted || err != nil {
+		t.Fatalf("refill = (%v, %v, %v, %v)", v, hit, admitted, err)
+	}
+}
+
+// TestDoAdmittedCoalesces: arrivals during an admitted fill wait for it
+// instead of filling again.
+func TestDoAdmittedCoalesces(t *testing.T) {
+	c := NewCache(0)
+	ctx := context.Background()
+	if _, _, _, err := c.DoAdmitted(ctx, "k", nil); err != nil {
+		t.Fatal(err)
+	}
+	const callers = 6
+	var fills atomic.Int64
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	results := make([]any, callers)
+	fill := func(context.Context) (any, error) {
+		fills.Add(1)
+		close(started)
+		<-release
+		return "v", nil
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		results[0], _, _, _ = c.DoAdmitted(ctx, "k", fill)
+	}()
+	<-started
+	for i := 1; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], _, _, _ = c.DoAdmitted(ctx, "k", fill)
+		}(i)
+	}
+	for c.Stats().Coalesced < callers-1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	if fills.Load() != 1 {
+		t.Fatalf("%d fills, want 1", fills.Load())
+	}
+	for i, r := range results {
+		if r != "v" {
+			t.Fatalf("caller %d got %v", i, r)
+		}
+	}
+}

@@ -159,6 +159,26 @@ func (m *Matrix) RowMaxExcl(u int, idx []int32, excl int32) (int32, float64) {
 	return bi, bv
 }
 
+// SetMax returns the largest entry of row u at the listed columns, or
+// 0 when none is positive: user u's satisfaction from a selection set.
+// Entries load as At loads them.
+func (m *Matrix) SetMax(u int, idx []int) float64 {
+	if m.f32 != nil {
+		return setMax(m.f32[u*m.points:(u+1)*m.points], idx)
+	}
+	return setMax(m.f64[u*m.points:(u+1)*m.points], idx)
+}
+
+func setMax[T float32 | float64](row []T, idx []int) float64 {
+	var best float64
+	for _, p := range idx {
+		if v := float64(row[p]); v > best {
+			best = v
+		}
+	}
+	return best
+}
+
 // Transposed is the point-major copy of a Matrix: Col(p) is the
 // contiguous utility column of point p across all users. Values are
 // always materialized as float64 — for a float32 source the conversion

@@ -107,6 +107,33 @@ func TestScansMatchReference(t *testing.T) {
 	}
 }
 
+// SetMax is the per-entry At loop of a set's satisfaction, floored at 0.
+func TestSetMaxMatchesAt(t *testing.T) {
+	for _, f32 := range []bool{false, true} {
+		m := New(29, 41, f32)
+		fillRandom(m, 5, true)
+		fillTable(m, 0, make([]float64, m.Points())) // an all-zero row
+		rng := rand.New(rand.NewSource(3))
+		for _, idx32 := range subsets(m.Points(), rng) {
+			idx := make([]int, len(idx32))
+			for i, p := range idx32 {
+				idx[i] = int(p)
+			}
+			for u := 0; u < m.Users(); u++ {
+				var want float64
+				for _, p := range idx {
+					if v := m.At(u, p); v > want {
+						want = v
+					}
+				}
+				if got := m.SetMax(u, idx); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("f32=%v u=%d: SetMax=%v, At loop %v", f32, u, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestTransposeMatchesAt(t *testing.T) {
 	for _, f32 := range []bool{false, true} {
 		// Sizes straddling the tile edge exercise the partial-tile paths.

@@ -19,6 +19,8 @@ import (
 // distribution allows it), the sampled utility functions, and the built
 // core.Instance with its materialized utility matrix.
 type prepared struct {
+	// key is the built instance's prep-cache key (see prepKey).
+	key        string
 	candidates []int
 	funcs      []UtilityFunc
 	weights    []float64
@@ -183,8 +185,9 @@ func prepare(ctx context.Context, src artifactSource, ds *Dataset, dist Distribu
 	}
 
 	// Step 4: the instance over the candidates.
+	key := prepKey("inst", q.Dataset, class, q, norm)
 	v, err := src.artifact(ctx, stage{
-		key: prepKey("inst", q.Dataset, class, q, norm),
+		key: key,
 		dep: funcs,
 		build: func(ctx context.Context, x Exec, dep any) (any, error) {
 			fs, ws := funcsOf(dep)
@@ -195,6 +198,7 @@ func prepare(ctx context.Context, src artifactSource, ds *Dataset, dist Distribu
 		return nil, err
 	}
 	prep := *v.(*prepared)
+	prep.key = key
 	prep.in = src.bind(prep.in, exec)
 	prep.skylineSize, prep.coresetSize = skySize, csSize
 	return &prep, nil

@@ -289,7 +289,15 @@ type Telemetry struct {
 	QueueWait time.Duration
 	// Stats carries the GREEDY-SHRINK / GreedyAdd work counters when
 	// applicable (iterations, evaluations, lazy skips, worker dispatch).
+	// An answer served from a recorded trajectory carries the counters
+	// of a run to its K, bit-identical to a cold run's.
 	Stats ShrinkStats
+	// FromTrajectory marks an Engine GREEDY-SHRINK answer read from the
+	// instance's recorded removal order (see Engine) instead of a run to
+	// K: the answer and Stats are a cold run's, Query is the lookup
+	// (plus the recording itself when this query made it). Always false
+	// for one-shot Select.
+	FromTrajectory bool
 	// Replay carries the Telemetry of the execution that filled the
 	// result-cache entry when this query was answered from the cache
 	// (Result.Cached). The top-level fields describe THIS query's

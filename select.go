@@ -81,7 +81,7 @@ func Select(ctx context.Context, q Query, exec Exec) (*Result, *Telemetry, error
 		return nil, nil, err
 	}
 	preprocess := time.Since(preStart)
-	res, tel, err := solve(ctx, q.Data, q.Dist, prep, q, exec)
+	res, tel, err := solve(ctx, q.Data, q.Dist, prep, q, exec, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -117,11 +117,17 @@ func Evaluate(ctx context.Context, q Query, exec Exec) (Metrics, error) {
 	return prep.in.Evaluate(q.ExplicitSet, nil)
 }
 
+// shrinkFunc answers a GREEDY-SHRINK selection of k points on prepared
+// state exactly as core.GreedyShrink would, reporting whether the answer
+// came from a recorded trajectory.
+type shrinkFunc func(ctx context.Context, prep *prepared, k int, strategy core.Strategy) ([]int, core.ShrinkStats, bool, error)
+
 // solve runs the query phase on prepared state: the selected solver, the
 // candidate-to-dataset index mapping, and the metrics evaluation. The
 // Telemetry's Preprocess field is left for the caller, which knows
-// whether preprocessing was fresh or cached.
-func solve(ctx context.Context, ds *Dataset, dist Distribution, prep *prepared, q Query, exec Exec) (*Result, *Telemetry, error) {
+// whether preprocessing was fresh or cached. A nil shrink runs
+// GREEDY-SHRINK directly; an Engine passes its trajectory-backed one.
+func solve(ctx context.Context, ds *Dataset, dist Distribution, prep *prepared, q Query, exec Exec, shrink shrinkFunc) (*Result, *Telemetry, error) {
 	in := prep.in
 	candidates := prep.candidates
 	res := &Result{ExactARR: -1, SkylineSize: prep.skylineSize, CoresetSize: prep.coresetSize}
@@ -140,7 +146,16 @@ func solve(ctx context.Context, ds *Dataset, dist Distribution, prep *prepared, 
 		} else if q.Algorithm == GreedyShrinkNaive {
 			strategy = core.StrategyNaive
 		}
-		set, stats, err := core.GreedyShrink(ctx, in, q.K, strategy)
+		var (
+			set   []int
+			stats core.ShrinkStats
+			err   error
+		)
+		if shrink != nil {
+			set, stats, tel.FromTrajectory, err = shrink(ctx, prep, q.K, strategy)
+		} else {
+			set, stats, err = core.GreedyShrink(ctx, in, q.K, strategy)
+		}
 		if err != nil {
 			return nil, nil, err
 		}

@@ -106,20 +106,21 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out.Family("fam_sched_policy_info", "gauge", "Active grant policy (constant 1; the policy is the label).")
 	out.Sample("fam_sched_policy_info", prom.Labels("policy", stats.Sched.Policy), 1)
 
-	// Caches: the prep and result caches side by side.
+	// Caches: the prep, result and trajectory caches side by side.
 	out.Family("fam_cache_hits_total", "counter", "Cache hits, by cache.")
 	out.Family("fam_cache_misses_total", "counter", "Cache misses, by cache.")
 	out.Family("fam_cache_coalesced_total", "counter", "Lookups that joined an in-flight build instead of duplicating it, by cache.")
 	out.Family("fam_cache_evictions_total", "counter", "Entries evicted by the size policy, by cache.")
 	out.Family("fam_cache_expired_total", "counter", "Entries dropped by TTL expiry, by cache.")
 	out.Family("fam_cache_errors_total", "counter", "Failed fills (not cached), by cache.")
+	out.Family("fam_cache_rejected_total", "counter", "First sightings a doorkeeper marked instead of filling, by cache.")
 	out.Family("fam_cache_entries", "gauge", "Live cache entries, by cache.")
 	out.Family("fam_cache_bytes", "gauge", "Bytes held by live cache entries, by cache.")
 	out.Family("fam_cache_max_bytes", "gauge", "Configured byte capacity (0 = unbounded), by cache.")
 	for _, c := range []struct {
 		name string
 		s    fam.CacheStats
-	}{{"prep", stats.PrepCache}, {"result", stats.ResultCache}} {
+	}{{"prep", stats.PrepCache}, {"result", stats.ResultCache}, {"trajectory", stats.TrajectoryCache}} {
 		ls := prom.Labels("cache", c.name)
 		out.Sample("fam_cache_hits_total", ls, float64(c.s.Hits))
 		out.Sample("fam_cache_misses_total", ls, float64(c.s.Misses))
@@ -127,6 +128,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		out.Sample("fam_cache_evictions_total", ls, float64(c.s.Evictions))
 		out.Sample("fam_cache_expired_total", ls, float64(c.s.Expired))
 		out.Sample("fam_cache_errors_total", ls, float64(c.s.Errors))
+		out.Sample("fam_cache_rejected_total", ls, float64(c.s.Rejected))
 		out.Sample("fam_cache_entries", ls, float64(c.s.Entries))
 		out.Sample("fam_cache_bytes", ls, float64(c.s.Bytes))
 		out.Sample("fam_cache_max_bytes", ls, float64(c.s.MaxBytes))

@@ -337,6 +337,10 @@ type TelemetryResponse struct {
 	Iterations      int     `json:"iterations,omitempty"`
 	Evaluations     int     `json:"evaluations,omitempty"`
 	EvalSkipped     int     `json:"eval_skipped,omitempty"`
+	// FromTrajectory marks a GREEDY-SHRINK answer read from the
+	// instance's recorded trajectory; its work counters above are those
+	// of a run to K.
+	FromTrajectory bool `json:"from_trajectory,omitempty"`
 	// Replayed is the telemetry of the execution that computed a
 	// replayed answer: the result-cache filler, or the batch-dedup
 	// leader. Present exactly when the answer was a replay.
@@ -360,6 +364,7 @@ func toTelemetry(t *fam.Telemetry, withTrace bool) *TelemetryResponse {
 		Iterations:      t.Stats.Iterations,
 		Evaluations:     t.Stats.Evaluations,
 		EvalSkipped:     t.Stats.EvalSkipped,
+		FromTrajectory:  t.FromTrajectory,
 	}
 	if t.Replay != nil {
 		out.Replayed = toTelemetry(t.Replay, false)
