@@ -64,7 +64,6 @@ func run(args []string, out io.Writer) error {
 		resTTL   = fs.Duration("result-ttl", 0, "result cache entry lifetime (0 = never expire)")
 		uploadMB = fs.Int64("max-upload-mb", 0, "CSV upload size cap in MiB for POST /v1/datasets (0 = default 32, negative = uploads disabled)")
 		batchCap = fs.Int("max-batch", 0, "maximum queries per POST /v2/select batch (0 = default 256)")
-		policy   = fs.String("grant-policy", fam.GrantPolicyEDF, "worker-pool helper-grant policy: edf (weighted priority + earliest-deadline-first) or fifo (arrival order)")
 		maxQueue = fs.Int("max-queue", 0, "shed requests (429) arriving while more helper requests than this are queued, unless the request sets its own max_queue (0 = no server-side bound)")
 		specs    = fs.String("datasets", "hotels:200", "comma-separated dataset specs: [name=]kind[:n[:seed]] or [name=]synthetic[:n[:d[:corr[:seed]]]]")
 		ces      = fs.Float64("ces", 0, "use CES utilities with this rho for every dataset (0 = uniform linear)")
@@ -81,9 +80,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if *policy != fam.GrantPolicyEDF && *policy != fam.GrantPolicyFIFO {
-		return fmt.Errorf("unknown -grant-policy %q (want %s|%s)", *policy, fam.GrantPolicyEDF, fam.GrantPolicyFIFO)
-	}
 	engine, infos, err := load.BuildEngine(fam.EngineConfig{
 		Workers:          *workers,
 		PrepCacheSize:    *prepCap,
@@ -92,7 +88,6 @@ func run(args []string, out io.Writer) error {
 		ResultCacheBytes: *resMB << 20,
 		PrepCacheTTL:     *prepTTL,
 		ResultCacheTTL:   *resTTL,
-		GrantPolicy:      *policy,
 	}, *specs, *ces)
 	if err != nil {
 		return err

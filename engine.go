@@ -120,19 +120,7 @@ type EngineConfig struct {
 	// touches it.
 	PrepCacheTTL   time.Duration
 	ResultCacheTTL time.Duration
-	// GrantPolicy selects how the shared pool orders queued helper
-	// requests under load: "edf" (the default — weighted priority
-	// classes, earliest-deadline-first within a class, arrival order as
-	// the tie-break) or "fifo" (strict arrival order, the pre-scheduling
-	// behavior). Unknown names fall back to the default.
-	GrantPolicy string
 }
-
-// Grant policy names accepted by EngineConfig.GrantPolicy.
-const (
-	GrantPolicyEDF  = "edf"
-	GrantPolicyFIFO = "fifo"
-)
 
 // DefaultPrepCacheSize and DefaultResultCacheSize are the zero-value
 // capacities of EngineConfig.
@@ -154,12 +142,8 @@ var ErrEngineClosed = errors.New("fam: engine is closed")
 // NewEngine starts an Engine. Callers own its lifecycle: Close it when
 // the serving process shuts down.
 func NewEngine(cfg EngineConfig) *Engine {
-	var policy sched.Policy
-	if cfg.GrantPolicy == GrantPolicyFIFO {
-		policy = sched.FIFO{}
-	}
 	return &Engine{
-		pool: par.NewPoolConfig(par.Config{Size: cfg.Workers, Policy: policy}),
+		pool: par.NewPool(cfg.Workers),
 		prep: ecache.NewCacheConfig(ecache.Config{
 			MaxEntries: capacity(cfg.PrepCacheSize, DefaultPrepCacheSize),
 			MaxBytes:   cfg.PrepCacheBytes,

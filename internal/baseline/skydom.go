@@ -126,13 +126,15 @@ func DominanceCoverage(points [][]float64, set []int) (int, error) {
 	if err := core.ValidateSet(set, len(points)); err != nil {
 		return 0, err
 	}
-	covered := bitset.New(len(points))
+	covered := make([]bool, len(points))
+	count := 0
 	for _, s := range set {
 		for j := range points {
-			if j != s && point.Dominates(points[s], points[j]) {
-				covered.Add(j)
+			if !covered[j] && j != s && point.Dominates(points[s], points[j]) {
+				covered[j] = true
+				count++
 			}
 		}
 	}
-	return covered.Count(), nil
+	return count, nil
 }

@@ -6,7 +6,7 @@ package bitset
 
 import "math/bits"
 
-// Set is a fixed-capacity bitset over [0, Len).
+// Set is a fixed-capacity bitset over [0, n).
 type Set struct {
 	n     int
 	words []uint64
@@ -20,40 +20,12 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, (n+63)/64)}
 }
 
-// Len returns the capacity of the set.
-func (s *Set) Len() int { return s.n }
-
 // Add sets bit i. Out-of-range indices are ignored.
 func (s *Set) Add(i int) {
 	if i < 0 || i >= s.n {
 		return
 	}
 	s.words[i>>6] |= 1 << (uint(i) & 63)
-}
-
-// Remove clears bit i. Out-of-range indices are ignored.
-func (s *Set) Remove(i int) {
-	if i < 0 || i >= s.n {
-		return
-	}
-	s.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
-// Contains reports whether bit i is set.
-func (s *Set) Contains(i int) bool {
-	if i < 0 || i >= s.n {
-		return false
-	}
-	return s.words[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// Count returns the number of set bits.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // UnionWith sets s = s ∪ other. The sets must have equal capacity.
@@ -63,15 +35,6 @@ func (s *Set) UnionWith(other *Set) {
 	}
 }
 
-// CountUnion returns |s ∪ other| without materializing the union.
-func (s *Set) CountUnion(other *Set) int {
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w | other.words[i])
-	}
-	return c
-}
-
 // AndNotCount returns |other \ s|: bits set in other but not in s.
 func (s *Set) AndNotCount(other *Set) int {
 	c := 0
@@ -79,29 +42,4 @@ func (s *Set) AndNotCount(other *Set) int {
 		c += bits.OnesCount64(other.words[i] &^ w)
 	}
 	return c
-}
-
-// Clone returns a deep copy of s.
-func (s *Set) Clone() *Set {
-	out := New(s.n)
-	copy(out.words, s.words)
-	return out
-}
-
-// Clear removes all bits.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// ForEach calls fn with each set bit in increasing order.
-func (s *Set) ForEach(fn func(i int)) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi*64 + b)
-			w &^= 1 << uint(b)
-		}
-	}
 }

@@ -1,34 +1,47 @@
 package bitset
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
 
+// contains and count read the words directly, so the tests check Add,
+// UnionWith and AndNotCount against an independent view of the bits.
+func contains(s *Set, i int) bool {
+	return i >= 0 && i < s.n && s.words[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+func count(s *Set) int {
+	c := 0
+	for _, w := range s.words {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
 func TestBasicOps(t *testing.T) {
 	s := New(130)
-	if s.Len() != 130 || s.Count() != 0 {
+	if count(s) != 0 {
 		t.Fatal("fresh set should be empty")
 	}
 	s.Add(0)
 	s.Add(64)
 	s.Add(129)
-	if !s.Contains(0) || !s.Contains(64) || !s.Contains(129) {
-		t.Fatal("Contains after Add failed")
+	if !contains(s, 0) || !contains(s, 64) || !contains(s, 129) {
+		t.Fatal("bits missing after Add")
 	}
-	if s.Count() != 3 {
-		t.Fatalf("Count = %d", s.Count())
-	}
-	s.Remove(64)
-	if s.Contains(64) || s.Count() != 2 {
-		t.Fatal("Remove failed")
+	if count(s) != 3 {
+		t.Fatalf("count = %d", count(s))
 	}
 	// Out of range operations are no-ops.
 	s.Add(-1)
 	s.Add(130)
-	s.Remove(-1)
-	if s.Count() != 2 || s.Contains(-1) || s.Contains(500) {
+	if count(s) != 3 || len(s.words) != 3 {
 		t.Fatal("out-of-range must be ignored")
+	}
+	if New(-5).n != 0 {
+		t.Fatal("negative capacity must clamp to 0")
 	}
 }
 
@@ -41,38 +54,18 @@ func TestUnionAndCounts(t *testing.T) {
 	for i := 25; i < 75; i++ {
 		b.Add(i)
 	}
-	if got := a.CountUnion(b); got != 75 {
-		t.Fatalf("CountUnion = %d, want 75", got)
-	}
 	if got := a.AndNotCount(b); got != 25 {
 		t.Fatalf("AndNotCount = %d, want 25", got)
 	}
-	c := a.Clone()
-	c.UnionWith(b)
-	if c.Count() != 75 || a.Count() != 50 {
-		t.Fatal("UnionWith/Clone aliasing bug")
+	if got := b.AndNotCount(a); got != 25 {
+		t.Fatalf("reverse AndNotCount = %d, want 25", got)
 	}
-}
-
-func TestClearAndForEach(t *testing.T) {
-	s := New(70)
-	want := []int{3, 64, 69}
-	for _, i := range want {
-		s.Add(i)
+	a.UnionWith(b)
+	if count(a) != 75 || count(b) != 50 {
+		t.Fatal("UnionWith must grow the receiver only")
 	}
-	var got []int
-	s.ForEach(func(i int) { got = append(got, i) })
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach order = %v, want %v", got, want)
-		}
-	}
-	s.Clear()
-	if s.Count() != 0 {
-		t.Fatal("Clear failed")
+	if got := a.AndNotCount(b); got != 0 {
+		t.Fatalf("AndNotCount into a superset = %d, want 0", got)
 	}
 }
 
@@ -85,49 +78,44 @@ func TestAgainstMapReference(t *testing.T) {
 		ref := map[int]bool{}
 		for _, op := range ops {
 			i := int(op) % n
-			switch (op / 128) % 3 {
-			case 0:
+			if op/128%2 == 0 {
 				s.Add(i)
 				ref[i] = true
-			case 1:
-				s.Remove(i)
-				delete(ref, i)
-			case 2:
-				if s.Contains(i) != ref[i] {
-					return false
-				}
+			} else if contains(s, i) != ref[i] {
+				return false
 			}
 		}
-		if s.Count() != len(ref) {
+		if count(s) != len(ref) {
 			return false
 		}
-		ok := true
-		s.ForEach(func(i int) {
-			if !ref[i] {
-				ok = false
+		for i := range ref {
+			if !contains(s, i) {
+				return false
 			}
-		})
-		return ok
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: CountUnion(a,b) == a.Clone().UnionWith(b).Count().
+// Property: the union's count is |a| + |b \ a|, and AndNotCount into the
+// union is zero from either side.
 func TestCountUnionConsistency(t *testing.T) {
 	f := func(aBits, bBits []uint8) bool {
 		const n = 200
-		a, b := New(n), New(n)
+		a, b, u := New(n), New(n), New(n)
 		for _, v := range aBits {
 			a.Add(int(v) % n)
 		}
 		for _, v := range bBits {
 			b.Add(int(v) % n)
 		}
-		u := a.Clone()
+		u.UnionWith(a)
 		u.UnionWith(b)
-		return a.CountUnion(b) == u.Count() && a.AndNotCount(b) == u.Count()-a.Count()
+		return count(u) == count(a)+a.AndNotCount(b) &&
+			u.AndNotCount(a) == 0 && u.AndNotCount(b) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

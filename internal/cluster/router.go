@@ -105,9 +105,6 @@ func NewRouter(reg *Registry, cfg RouterConfig) *Router {
 	return rt
 }
 
-// Policy returns the active routing policy.
-func (rt *Router) Policy() Policy { return rt.policy }
-
 // ServeHTTP is the router's observability middleware: it arms a trace
 // when the client asked for one (so router and replica spans share a
 // trace ID), records per-endpoint metrics, and dispatches.

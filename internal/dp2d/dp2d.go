@@ -38,7 +38,7 @@ import (
 	"github.com/regretlab/fam/internal/skyline"
 )
 
-// Result is the output of Solve.
+// Result is the output of SolveOpts.
 type Result struct {
 	// Set holds the selected point indices into the original point set,
 	// ascending.
@@ -50,7 +50,7 @@ type Result struct {
 	SkylineSize int
 }
 
-// Options configures Solve.
+// Options configures SolveOpts.
 type Options struct {
 	// Parallelism bounds the worker goroutines sharding each DP layer
 	// (and the per-point envelope prefix sums). Zero uses every CPU
@@ -69,15 +69,10 @@ type Options struct {
 // ErrBadK is returned when k is not positive.
 var ErrBadK = errors.New("dp2d: k must be positive")
 
-// Solve runs the dynamic program on the (full) 2-d point set with default
-// options (all CPUs). Dominated points are removed first — they are never
-// anyone's best point, so the optimum over the skyline equals the optimum
-// over the database.
-func Solve(ctx context.Context, points [][]float64, k int) (Result, error) {
-	return SolveOpts(ctx, points, k, Options{})
-}
-
-// SolveOpts runs the dynamic program with explicit options.
+// SolveOpts runs the dynamic program on the (full) 2-d point set.
+// Dominated points are removed first — they are never anyone's best
+// point, so the optimum over the skyline equals the optimum over the
+// database.
 func SolveOpts(ctx context.Context, points [][]float64, k int, opts Options) (Result, error) {
 	res, _, err := solve(ctx, points, k, opts)
 	return res, err

@@ -19,20 +19,20 @@ func randPoints(g *rng.RNG, n int) [][]float64 {
 
 func TestSolveValidation(t *testing.T) {
 	ctx := context.Background()
-	if _, err := Solve(ctx, [][]float64{{1, 0}}, 0); err == nil {
+	if _, err := SolveOpts(ctx, [][]float64{{1, 0}}, 0, Options{}); err == nil {
 		t.Fatal("k=0 must error")
 	}
-	if _, err := Solve(ctx, [][]float64{{1, 2, 3}}, 1); err == nil {
+	if _, err := SolveOpts(ctx, [][]float64{{1, 2, 3}}, 1, Options{}); err == nil {
 		t.Fatal("3-d must error")
 	}
-	if _, err := Solve(ctx, nil, 1); err == nil {
+	if _, err := SolveOpts(ctx, nil, 1, Options{}); err == nil {
 		t.Fatal("empty must error")
 	}
 }
 
 func TestSolveWholeSkylineFits(t *testing.T) {
 	pts := [][]float64{{1, 0}, {0, 1}, {0.9, 0}} // third point dominated by (1,0)
-	res, err := Solve(context.Background(), pts, 5)
+	res, err := SolveOpts(context.Background(), pts, 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSolveHandComputedK1(t *testing.T) {
 	// D = {(1,0), (0,1)}: by symmetry each single point has arr 1/4;
 	// the DP must achieve exactly 0.25 with one of them.
 	pts := [][]float64{{1, 0}, {0, 1}}
-	res, err := Solve(context.Background(), pts, 1)
+	res, err := SolveOpts(context.Background(), pts, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestSolveDominatedPointsIgnored(t *testing.T) {
 	base := [][]float64{{1, 0.1}, {0.6, 0.7}, {0.1, 1}}
 	with := append([][]float64{}, base...)
 	with = append(with, []float64{0.05, 0.05}, []float64{0.5, 0.5})
-	r1, err := Solve(context.Background(), base, 2)
+	r1, err := SolveOpts(context.Background(), base, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Solve(context.Background(), with, 2)
+	r2, err := SolveOpts(context.Background(), with, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 			maxK = n
 		}
 		k := g.IntN(maxK) + 1
-		res, err := Solve(context.Background(), pts, k)
+		res, err := SolveOpts(context.Background(), pts, k, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 func TestSolveReturnsExactlyK(t *testing.T) {
 	g := rng.New(77)
 	pts := randPoints(g, 40)
-	res, err := Solve(context.Background(), pts, 3)
+	res, err := SolveOpts(context.Background(), pts, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSolveMonotoneInK(t *testing.T) {
 	pts := randPoints(g, 60)
 	prev := math.Inf(1)
 	for k := 1; k <= 6; k++ {
-		res, err := Solve(context.Background(), pts, k)
+		res, err := SolveOpts(context.Background(), pts, k, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestSolveContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Solve(ctx, pts, 5); err == nil {
+	if _, err := SolveOpts(ctx, pts, 5, Options{}); err == nil {
 		t.Fatal("canceled context must error")
 	}
 }
@@ -182,8 +182,8 @@ func TestSolveContextCancel(t *testing.T) {
 func TestSolveDeterminism(t *testing.T) {
 	g := rng.New(89)
 	pts := randPoints(g, 30)
-	r1, err1 := Solve(context.Background(), pts, 4)
-	r2, err2 := Solve(context.Background(), pts, 4)
+	r1, err1 := SolveOpts(context.Background(), pts, 4, Options{})
+	r2, err2 := SolveOpts(context.Background(), pts, 4, Options{})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}

@@ -134,12 +134,6 @@ type entry struct {
 	expires time.Time // zero = never
 }
 
-// NewCache returns a cache holding at most capacity entries (0 or
-// negative = unbounded), with no byte budget and no TTL.
-func NewCache(capacity int) *Cache {
-	return NewCacheConfig(Config{MaxEntries: capacity})
-}
-
 // NewCacheConfig returns a cache with the full eviction policy.
 func NewCacheConfig(cfg Config) *Cache {
 	if cfg.MaxEntries < 0 {

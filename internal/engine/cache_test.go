@@ -11,7 +11,7 @@ import (
 )
 
 func TestCacheHitMissLRU(t *testing.T) {
-	c := NewCache(2)
+	c := NewCacheConfig(Config{MaxEntries: 2})
 	ctx := context.Background()
 	fill := func(v string) func(context.Context) (any, error) {
 		return func(context.Context) (any, error) { return v, nil }
@@ -53,7 +53,7 @@ func TestCacheHitMissLRU(t *testing.T) {
 // fill blocks until all callers have arrived, so the coalesced count is
 // deterministic.
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache(0)
+	c := NewCacheConfig(Config{})
 	const callers = 8
 	var fills atomic.Int64
 	arrived := make(chan struct{})
@@ -102,7 +102,7 @@ func TestCacheSingleflight(t *testing.T) {
 // TestCacheErrorNotStored: a failed fill must not poison the cache; the
 // next Do retries.
 func TestCacheErrorNotStored(t *testing.T) {
-	c := NewCache(0)
+	c := NewCacheConfig(Config{})
 	ctx := context.Background()
 	boom := errors.New("boom")
 	if _, _, err := c.Do(ctx, "k", func(context.Context) (any, error) { return nil, boom }); !errors.Is(err, boom) {
@@ -123,7 +123,7 @@ func TestCacheErrorNotStored(t *testing.T) {
 // ErrFillPanic (and the panic value, when it is an error), nothing is
 // stored, and the next Do on the key refills and stores.
 func TestCacheFillPanicContained(t *testing.T) {
-	c := NewCache(0)
+	c := NewCacheConfig(Config{})
 	ctx := context.Background()
 	boom := errors.New("boom")
 	const callers = 3
@@ -176,7 +176,7 @@ func TestCacheFillPanicContained(t *testing.T) {
 // gets its context error, but the detached fill still completes and is
 // stored for the next arrival.
 func TestCacheCanceledWaiterFillSurvives(t *testing.T) {
-	c := NewCache(0)
+	c := NewCacheConfig(Config{})
 	release := make(chan struct{})
 	ctx, cancel := context.WithCancel(context.Background())
 
@@ -217,7 +217,7 @@ func TestCacheCanceledWaiterFillSurvives(t *testing.T) {
 // TestCacheConcurrentDistinctKeys: hammer the cache with overlapping keys
 // under -race.
 func TestCacheConcurrentDistinctKeys(t *testing.T) {
-	c := NewCache(16)
+	c := NewCacheConfig(Config{MaxEntries: 16})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -384,7 +384,7 @@ func TestDoAdmittedDoorkeeper(t *testing.T) {
 // forgotten.
 func TestDoAdmittedMarksNeverEvictValues(t *testing.T) {
 	const capacity = 3
-	c := NewCache(capacity)
+	c := NewCacheConfig(Config{MaxEntries: capacity})
 	ctx := context.Background()
 	fill := func(context.Context) (any, error) { return "value", nil }
 	for range 2 {
@@ -416,7 +416,7 @@ func TestDoAdmittedMarksNeverEvictValues(t *testing.T) {
 // context; a canceled fill stores nothing and keeps the mark, so the
 // next lookup fills again.
 func TestDoAdmittedCanceledFill(t *testing.T) {
-	c := NewCache(0)
+	c := NewCacheConfig(Config{})
 	bg := context.Background()
 	if _, _, _, err := c.DoAdmitted(bg, "k", nil); err != nil {
 		t.Fatal(err)
@@ -441,7 +441,7 @@ func TestDoAdmittedCanceledFill(t *testing.T) {
 // TestDoAdmittedCoalesces: arrivals during an admitted fill wait for it
 // instead of filling again.
 func TestDoAdmittedCoalesces(t *testing.T) {
-	c := NewCache(0)
+	c := NewCacheConfig(Config{})
 	ctx := context.Background()
 	if _, _, _, err := c.DoAdmitted(ctx, "k", nil); err != nil {
 		t.Fatal(err)

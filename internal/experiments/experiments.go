@@ -173,7 +173,7 @@ type prep struct {
 }
 
 // newPrep builds the shared setup; cfg supplies the worker bound and the
-// lazy refresh batch size for the instance.
+// scheduling attributes for the instance.
 func newPrep(ds *dataset.Dataset, dist utility.Distribution, n int, seed uint64, cfg Config) (*prep, error) {
 	start := time.Now()
 	candidates := make([]int, ds.N())
@@ -204,14 +204,9 @@ func newPrep(ds *dataset.Dataset, dist utility.Distribution, n int, seed uint64,
 	if err != nil {
 		return nil, err
 	}
-	linear := false
-	switch dist.(type) {
-	case utility.UniformSimplexLinear, utility.UniformBoxLinear, utility.UniformSphereLinear:
-		linear = true
-	}
 	return &prep{
 		ds: ds, dist: dist, in: in, candidates: candidates,
-		restricted: restricted, linear: linear, preprocess: time.Since(start),
+		restricted: restricted, linear: utility.IsLinear(dist), preprocess: time.Since(start),
 	}, nil
 }
 

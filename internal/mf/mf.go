@@ -150,21 +150,6 @@ func (m *Model) RMSE(ratings []dataset.Rating) (float64, error) {
 	return math.Sqrt(se / float64(len(ratings))), nil
 }
 
-// CompletedUtilityRow reconstructs user u's utility over all items
-// (the completed row of the ratings matrix), clamped at zero so it is a
-// valid utility vector.
-func (m *Model) CompletedUtilityRow(user int) []float64 {
-	out := make([]float64, len(m.ItemF))
-	for i := range out {
-		v := m.Predict(user, i)
-		if v < 0 {
-			v = 0
-		}
-		out[i] = v
-	}
-	return out
-}
-
 // UserVectors returns the learned user latent vectors augmented with the
 // user bias as a trailing coordinate — the representation the GMM is fit
 // on. (Including the bias lets the mixture capture overall rating level.)

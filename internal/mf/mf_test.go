@@ -141,19 +141,6 @@ func TestRMSEEmpty(t *testing.T) {
 	}
 }
 
-func TestCompletedUtilityRowNonNegative(t *testing.T) {
-	data, m := trainSmall(t)
-	row := m.CompletedUtilityRow(0)
-	if len(row) != data.NumItems {
-		t.Fatalf("row length %d", len(row))
-	}
-	for _, v := range row {
-		if v < 0 {
-			t.Fatal("completed utilities must be non-negative")
-		}
-	}
-}
-
 func TestWeightVectorItemPointsConsistency(t *testing.T) {
 	_, m := trainSmall(t)
 	points := m.ItemPoints()

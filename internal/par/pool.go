@@ -25,14 +25,14 @@ import (
 // closed (or nil) pool behaves exactly like the plain goroutine-per-shard
 // Shards.
 //
-// Which queued request a freed helper serves next is decided by a
-// pluggable grant policy (internal/sched): the default WeightedEDF
-// orders ready requests by weighted priority class, then earliest
-// deadline, then arrival — exact FIFO for requests without scheduling
-// attributes, which is every caller that does not attach sched.Attrs to
-// its context. Requests whose deadline has already passed are shed by
-// admission control (Shards returns sched.ErrShed) instead of being
-// queued.
+// Which queued request a freed helper serves next is decided by the
+// grant queue (internal/sched): sched.WeightedEDF orders ready requests
+// by weighted priority class, then earliest deadline, then arrival —
+// exact FIFO for requests without scheduling attributes, which is every
+// caller that does not attach sched.Attrs to its context — with
+// deficit-bounded grants so no class starves. Requests whose deadline
+// has already passed are shed by admission control (Shards returns
+// sched.ErrShed) instead of being queued.
 //
 // Block boundaries are computed exactly as in package-level Shards, and
 // every block is claimed by exactly one runner, so the deterministic
@@ -48,15 +48,10 @@ type Pool struct {
 }
 
 // Config parameterizes NewPoolConfig. The zero value matches
-// NewPool(0): GOMAXPROCS helpers under the default WeightedEDF grant
-// policy on the real clock.
+// NewPool(0): GOMAXPROCS helpers on the real clock.
 type Config struct {
 	// Size is the helper goroutine count (0 or negative = GOMAXPROCS).
 	Size int
-	// Policy orders pending helper requests (nil = sched.WeightedEDF
-	// with default class weights; sched.FIFO{} restores the legacy
-	// arrival-order grants).
-	Policy sched.Policy
 	// Clock drives deadline admission and queue-wait accounting (nil =
 	// real time). Tests inject a fixed clock for deterministic EDF
 	// ordering and shed decisions.
@@ -64,12 +59,12 @@ type Config struct {
 }
 
 // NewPool starts a pool of `size` helper goroutines (0 or negative =
-// GOMAXPROCS) with the default grant policy. Close releases them.
+// GOMAXPROCS) on the real clock. Close releases them.
 func NewPool(size int) *Pool {
 	return NewPoolConfig(Config{Size: size})
 }
 
-// NewPoolConfig starts a pool with an explicit grant policy and clock.
+// NewPoolConfig starts a pool with an explicit size and clock.
 func NewPoolConfig(cfg Config) *Pool {
 	size := cfg.Size
 	if size <= 0 {
@@ -77,7 +72,7 @@ func NewPoolConfig(cfg Config) *Pool {
 	}
 	p := &Pool{
 		size:  size,
-		queue: sched.NewQueue(cfg.Policy, cfg.Clock),
+		queue: sched.NewQueue(cfg.Clock),
 		// The wake buffer lets a query signal its helper requests without
 		// blocking even when all helpers are busy; a full buffer means
 		// enough wakeups are already pending to drain the queue.
@@ -91,7 +86,7 @@ func NewPoolConfig(cfg Config) *Pool {
 }
 
 // helperLoop serves granted requests until the pool closes. After each
-// wakeup the helper drains the grant queue: the policy picks the next
+// wakeup the helper drains the grant queue: WeightedEDF picks the next
 // request, stale tickets (their Shards call already finished) are
 // discarded for free.
 func (p *Pool) helperLoop() {
@@ -211,7 +206,7 @@ func (p *Pool) Shards(ctx context.Context, workers, n int, fn func(w, lo, hi int
 	// Give the woken helpers a scheduling point before the caller starts
 	// claiming blocks. Without it a caller on a saturated single-P
 	// runtime claims every block before any helper runs, so tickets only
-	// ever go stale and the grant policy (and its per-class counters)
+	// ever go stale and the grant order (and its per-class counters)
 	// never gets to act.
 	runtime.Gosched()
 	run()

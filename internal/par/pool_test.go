@@ -153,12 +153,12 @@ func TestPoolPreCanceledContext(t *testing.T) {
 }
 
 // TestPoolPriorityGrantOrder is the deterministic scheduler test of the
-// grant policy: with the single helper occupied and both requests
+// grant order: with the single helper occupied and both requests
 // already queued, releasing the helper must grant the high-priority
 // request before the earlier-arrived low-priority one. The test drives
 // the grant queue white-box (the helper is saturated by a directly
 // enqueued blocker), so there is no timing dependence: the pop order is
-// exactly the policy's order.
+// exactly the WeightedEDF order.
 func TestPoolPriorityGrantOrder(t *testing.T) {
 	pool := NewPoolConfig(Config{Size: 1})
 	defer pool.Close()
@@ -279,32 +279,50 @@ func TestPoolAttrsKeepDecompositionIdentical(t *testing.T) {
 	}
 }
 
-// TestPoolFIFOPolicyOption: the legacy policy remains available through
-// NewPoolConfig and grants strictly by arrival.
-func TestPoolFIFOPolicyOption(t *testing.T) {
-	pool := NewPoolConfig(Config{Size: 1, Policy: sched.FIFO{}})
-	defer pool.Close()
-
-	block := make(chan struct{})
-	started := make(chan struct{})
-	pool.queue.Push(sched.Attrs{}, nil, func() {
-		close(started)
-		<-block
-	})
-	pool.wake <- struct{}{}
-	<-started
-
-	order := make(chan string, 2)
-	pool.queue.Push(sched.Attrs{Priority: sched.Low}, nil, func() { order <- "low" })
-	pool.queue.Push(sched.Attrs{Priority: sched.High}, nil, func() { order <- "high" })
-	pool.wake <- struct{}{}
-	close(block)
-
-	if first := <-order; first != "low" {
-		t.Fatalf("FIFO granted %q first, want the earlier-arrived request", first)
+// TestPoolDefaultGrantOrder: a default NewPool grants requests without
+// scheduling attributes in exact arrival order, and a High request
+// queued after a Low one first. Each round queues its requests behind a
+// blocker on the only helper of a fresh pool, so the pop order is
+// deterministic.
+func TestPoolDefaultGrantOrder(t *testing.T) {
+	type req struct {
+		name  string
+		attrs sched.Attrs
 	}
-	if s := pool.SchedStats(); s.Policy != "fifo" {
-		t.Fatalf("policy = %q, want fifo", s.Policy)
+	rounds := []struct {
+		reqs []req
+		want []string
+	}{
+		{[]req{{"a", sched.Attrs{}}, {"b", sched.Attrs{}}, {"c", sched.Attrs{}}, {"d", sched.Attrs{}}}, []string{"a", "b", "c", "d"}},
+		{[]req{{"low", sched.Attrs{Priority: sched.Low}}, {"high", sched.Attrs{Priority: sched.High}}}, []string{"high", "low"}},
+	}
+	for _, r := range rounds {
+		pool := NewPool(1)
+		block := make(chan struct{})
+		started := make(chan struct{})
+		pool.queue.Push(sched.Attrs{}, nil, func() {
+			close(started)
+			<-block
+		})
+		pool.wake <- struct{}{}
+		<-started
+
+		order := make(chan string, len(r.reqs))
+		for _, q := range r.reqs {
+			name := q.name
+			pool.queue.Push(q.attrs, nil, func() { order <- name })
+		}
+		pool.wake <- struct{}{}
+		close(block)
+		for i, want := range r.want {
+			if got := <-order; got != want {
+				t.Fatalf("grant %d went to %q, want %q (order %v)", i, got, want, r.want)
+			}
+		}
+		if s := pool.SchedStats(); s.Policy != "weighted-edf" || s.Granted != uint64(len(r.reqs)+1) {
+			t.Fatalf("stats = %+v, want %d grants under weighted-edf", s, len(r.reqs)+1)
+		}
+		pool.Close()
 	}
 }
 

@@ -35,16 +35,6 @@ func Dominates(p, q []float64) bool {
 	return strict
 }
 
-// WeaklyDominates reports whether p[i] >= q[i] for all i.
-func WeaklyDominates(p, q []float64) bool {
-	for i := range p {
-		if p[i] < q[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks that points is non-empty, rectangular, and free of NaNs
 // and infinities. It returns the common dimensionality.
 func Validate(points [][]float64) (int, error) {
@@ -106,32 +96,6 @@ func Normalize(points [][]float64) ([][]float64, error) {
 		out[i] = q
 	}
 	return out, nil
-}
-
-// Dedup removes exact duplicate points, keeping the first occurrence, and
-// returns the kept points along with the original index of each kept point.
-func Dedup(points [][]float64) ([][]float64, []int) {
-	type key string
-	seen := make(map[key]bool, len(points))
-	var kept [][]float64
-	var idx []int
-	buf := make([]byte, 0, 64)
-	for i, p := range points {
-		buf = buf[:0]
-		for _, v := range p {
-			bits := math.Float64bits(v)
-			for s := 0; s < 64; s += 8 {
-				buf = append(buf, byte(bits>>s))
-			}
-		}
-		k := key(buf)
-		if !seen[k] {
-			seen[k] = true
-			kept = append(kept, p)
-			idx = append(idx, i)
-		}
-	}
-	return kept, idx
 }
 
 // Select returns the subset of points at the given indices.

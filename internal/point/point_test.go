@@ -24,15 +24,6 @@ func TestDominates(t *testing.T) {
 	}
 }
 
-func TestWeaklyDominates(t *testing.T) {
-	if !WeaklyDominates([]float64{1, 1}, []float64{1, 1}) {
-		t.Fatal("a point weakly dominates itself")
-	}
-	if WeaklyDominates([]float64{1, 0}, []float64{0, 1}) {
-		t.Fatal("incomparable points should not weakly dominate")
-	}
-}
-
 // Property: dominance is antisymmetric and irreflexive.
 func TestDominanceAntisymmetry(t *testing.T) {
 	f := func(a, b [3]uint8) bool {
@@ -132,19 +123,6 @@ func TestNormalizeRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDedup(t *testing.T) {
-	pts := [][]float64{{1, 2}, {3, 4}, {1, 2}, {5, 6}, {3, 4}}
-	kept, idx := Dedup(pts)
-	if len(kept) != 3 || idx[0] != 0 || idx[1] != 1 || idx[2] != 3 {
-		t.Fatalf("Dedup kept %d at %v", len(kept), idx)
-	}
-	// Negative zero and zero are distinct bit patterns; Dedup is bitwise.
-	kept2, _ := Dedup([][]float64{{0.0}, {math.Copysign(0, -1)}})
-	if len(kept2) != 2 {
-		t.Fatal("bitwise dedup should distinguish +0 and -0")
 	}
 }
 

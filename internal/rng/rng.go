@@ -30,12 +30,6 @@ func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
 // Uint64 returns a uniform 64-bit value.
 func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
-// Split derives an independent RNG stream; useful to give each worker or
-// dataset its own stream without coupling consumption order.
-func (g *RNG) Split() *RNG {
-	return New(g.r.Uint64())
-}
-
 // Normal returns a standard Gaussian sample (Box–Muller is avoided in favor
 // of the rand/v2 ziggurat-backed NormFloat64).
 func (g *RNG) Normal() float64 { return g.r.NormFloat64() }
@@ -136,9 +130,6 @@ func (g *RNG) UnitSphereNonNeg(dim int) []float64 {
 		}
 	}
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Shuffle randomly permutes the first n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

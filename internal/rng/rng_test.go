@@ -26,15 +26,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	g := New(7)
-	s1 := g.Split()
-	s2 := g.Split()
-	if s1.Float64() == s2.Float64() && s1.Float64() == s2.Float64() {
-		t.Fatal("split streams should differ")
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	g := New(1)
 	const n = 200000
@@ -181,12 +172,12 @@ func TestCategoricalCDFBoundaries(t *testing.T) {
 	}
 }
 
-// Property: Perm always yields a permutation.
+// Property: Choice(n, n) always yields a permutation.
 func TestPermProperty(t *testing.T) {
 	g := New(9)
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%20) + 1
-		p := g.Perm(n)
+		p := g.Choice(n, n)
 		if len(p) != n {
 			return false
 		}

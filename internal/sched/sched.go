@@ -1,5 +1,5 @@
 // Package sched is the scheduling subsystem of the serving path: the
-// grant policy that decides which queued helper request a freed pool
+// grant order that decides which queued helper request a freed pool
 // worker serves next, the priority/deadline attributes that requests
 // carry (threaded through a context so every Shards fan-out inherits
 // them without signature changes), and the admission control that sheds
@@ -9,8 +9,8 @@
 // internal/par owns block boundaries and the caller-participating
 // execution loop, and delegates only the ordering of pending helper
 // requests here. That split keeps every bit-determinism guarantee of
-// the pool intact: a policy changes which request a helper serves
-// first, never which blocks a request is cut into.
+// the pool intact: the grant order changes which request a helper
+// serves first, never which blocks a request is cut into.
 package sched
 
 import (
@@ -29,7 +29,7 @@ import (
 // exactly as before.
 type Priority int8
 
-// The three priority classes. Grant policies see them through their
+// The three priority classes. The grant order sees them through their
 // weights, so the classes are a vocabulary, not a hard-coded ladder.
 const (
 	Low    Priority = -1
@@ -59,11 +59,11 @@ func (p Priority) String() string {
 type Attrs struct {
 	Priority Priority
 	Deadline time.Time
-	// Weight, when positive, overrides the request's class weight in
-	// weight-aware policies — the per-tenant hook: a tenant granted
-	// Weight 8 inside the Normal class outranks default Normal traffic
-	// and accrues deficit at its own rate, without defining a new
-	// Priority. Zero means "use the policy's class weight".
+	// Weight, when positive, overrides the request's class weight —
+	// the per-tenant hook: a tenant granted Weight 8 inside the Normal
+	// class outranks default Normal traffic and accrues deficit at its
+	// own rate, without defining a new Priority. Zero means "use the
+	// class weight from DefaultWeights".
 	Weight int
 	// SoftDeadline keeps the deadline as an ordering signal only: the
 	// request still sorts earliest-deadline-first among its class, but
@@ -157,103 +157,58 @@ var ErrShed = fmt.Errorf("sched: deadline already passed; request shed: %w", con
 // decisions fully deterministic.
 type Clock func() time.Time
 
-// Ticket is the policy-visible view of one queued helper request: its
+// Ticket is the grant order's view of one queued helper request: its
 // attributes and its arrival sequence number. Seq is a total order over
-// arrivals, so any policy that falls back to it is deterministic.
+// arrivals, so the final tie-break on it is deterministic.
 type Ticket struct {
 	Attrs Attrs
 	Seq   uint64
 }
 
-// Policy orders pending helper requests. Less reports whether a should
-// be granted before b; it must be a strict weak ordering and must break
-// every tie deterministically (falling back to Seq guarantees that).
-type Policy interface {
-	Name() string
-	Less(a, b Ticket) bool
-}
-
-// FIFO is the legacy grant policy: strict arrival order, ignoring
-// priorities and deadlines.
-type FIFO struct{}
-
-// Name implements Policy.
-func (FIFO) Name() string { return "fifo" }
-
-// Less implements Policy: earlier arrivals first.
-func (FIFO) Less(a, b Ticket) bool { return a.Seq < b.Seq }
-
-// DefaultWeights are the class weights of the default WeightedEDF
-// policy. The spacing leaves room for operators to slot custom classes
-// between the built-in ones.
+// DefaultWeights are the class weights of the grant order; a request's
+// Attrs.Weight overrides its class weight. The spacing leaves room to
+// slot custom classes between the built-in ones; a class absent from
+// the map weighs as Normal.
 var DefaultWeights = map[Priority]int{Low: 1, Normal: 4, High: 16}
 
-// WeightedEDF is the production grant policy: weighted priority classes
-// first (higher weight granted first; classes given equal weights
+// WeightedEDF is the grant order of every Queue: weighted priority
+// classes first (higher weight granted first; equal weights
 // interleave), earliest-deadline-first among requests of equal weight
 // (a request without a deadline sorts after every request with one),
 // arrival order as the final tie-break. With every request at the zero
 // Attrs it degenerates to exact FIFO.
 //
 // Pure weight ordering would starve light classes without bound, so
-// Queue pairs any policy implementing ClassWeights — this one — with
-// deficit-bounded grants: see the Queue documentation for the bound.
-// A request's effective weight is Attrs.Weight when positive (the
-// per-tenant override), else the class weight from Weights.
-type WeightedEDF struct {
-	// Weights maps each priority class to its weight; nil uses
-	// DefaultWeights, and classes absent from the map weigh as Normal.
-	Weights map[Priority]int
-}
+// Queue pairs it with deficit-bounded grants: see the Queue
+// documentation for the bound. A request's effective weight is
+// Attrs.Weight when positive (the per-tenant override), else its class
+// weight from DefaultWeights.
+type WeightedEDF struct{}
 
-// ClassWeights is the optional Policy extension that enables the
-// queue's deficit-bounded anti-starvation machinery: a policy that can
-// name each class's weight lets the queue compute the round quantum
-// (the sum of backlogged classes' weights) and accrue per-class
-// deficit against it. Policies without it (FIFO) grant in pure policy
-// order — FIFO cannot starve, so it needs no bound.
-type ClassWeights interface {
-	// ClassWeight returns the configured weight of the priority class;
-	// it must be positive and constant for the queue's lifetime.
-	ClassWeight(c Priority) int
-}
-
-// Name implements Policy.
+// Name is the grant order's name as Stats.Policy reports it.
 func (WeightedEDF) Name() string { return "weighted-edf" }
 
-func (p WeightedEDF) weight(c Priority) int {
-	w := p.Weights
-	if w == nil {
-		w = DefaultWeights
-	}
-	if v, ok := w[c]; ok {
-		return v
-	}
-	// Absent classes weigh as Normal — from the custom map when it
-	// defines Normal, else from the defaults (a partial map must never
-	// zero the classes it does not mention).
-	if v, ok := w[Normal]; ok {
+// classWeight returns the weight of the priority class.
+func classWeight(c Priority) int {
+	if v, ok := DefaultWeights[c]; ok {
 		return v
 	}
 	return DefaultWeights[Normal]
 }
 
-// ClassWeight implements ClassWeights, opting WeightedEDF into the
-// queue's deficit-bounded grants.
-func (p WeightedEDF) ClassWeight(c Priority) int { return p.weight(c) }
-
 // ticketWeight is the effective weight of one request: its per-tenant
 // override when set, else its class weight.
-func (p WeightedEDF) ticketWeight(t Ticket) int {
+func ticketWeight(t Ticket) int {
 	if t.Attrs.Weight > 0 {
 		return t.Attrs.Weight
 	}
-	return p.weight(t.Attrs.Priority)
+	return classWeight(t.Attrs.Priority)
 }
 
-// Less implements Policy.
-func (p WeightedEDF) Less(a, b Ticket) bool {
-	if wa, wb := p.ticketWeight(a), p.ticketWeight(b); wa != wb {
+// Less reports whether a is granted before b. It is a strict weak
+// ordering that breaks every tie on Seq.
+func (WeightedEDF) Less(a, b Ticket) bool {
+	if wa, wb := ticketWeight(a), ticketWeight(b); wa != wb {
 		return wa > wb
 	}
 	da, db := a.Attrs.Deadline, b.Attrs.Deadline
@@ -281,7 +236,7 @@ type ClassStats struct {
 
 // Stats is a point-in-time snapshot of a grant queue's counters.
 type Stats struct {
-	// Policy names the active grant policy.
+	// Policy names the grant order: always "weighted-edf".
 	Policy string `json:"policy"`
 	// Granted counts helper requests handed to a worker; Stale counts
 	// requests discarded because their Shards call had already finished
@@ -299,9 +254,9 @@ type Stats struct {
 	// yet discarded included).
 	Depth int `json:"depth"`
 	// DeficitGrants counts grants where the anti-starvation machinery
-	// overrode the policy's pick: an overdue lighter class was granted
-	// ahead of a heavier one. Zero under any load the policy's own
-	// ordering serves fairly.
+	// overrode the WeightedEDF pick: an overdue lighter class was granted
+	// ahead of a heavier one. Zero under any load the WeightedEDF order
+	// serves fairly.
 	DeficitGrants uint64 `json:"deficit_grants"`
 	// PerClass breaks the counters down by priority class, keyed by
 	// Priority.String(). Nil until the queue has seen any traffic.
@@ -340,41 +295,37 @@ type classKey struct {
 // of its tickets are queued and how much deficit it has accrued.
 // Deficit resets when the class drains — credit never banks across
 // idle periods, which is what keeps the deficit path exactly inactive
-// (and grant order bit-identical to the pure policy) whenever classes
-// are not simultaneously backlogged.
+// (and grant order bit-identical to the pure WeightedEDF order)
+// whenever classes are not simultaneously backlogged.
 type classState struct {
 	queued  int
 	deficit int64
 }
 
-// Queue is the policy-ordered set of pending helper requests. All
+// Queue is the WeightedEDF-ordered set of pending helper requests. All
 // methods are safe for concurrent use.
 //
 // # Starvation bound
 //
-// A weight-priority policy alone starves: under a sustained flood of a
-// heavy class, a queued light ticket is never granted. When the policy
-// implements ClassWeights, the queue layers deficit-bounded grants on
-// top of the policy order. On every grant while two or more classes
-// are backlogged, each backlogged class accrues deficit equal to its
-// weight, and the granted class pays back the round quantum (the sum
-// of the backlogged classes' weights). A class whose deficit reaches
-// the quantum is overdue and is granted next — its best ticket per the
-// policy — ahead of any heavier class. A class backlogged alongside
+// Weight priority alone starves: under a sustained flood of a heavy
+// class, a queued light ticket is never granted. The queue therefore
+// layers deficit-bounded grants on top of the WeightedEDF order. On
+// every grant while two or more classes are backlogged, each
+// backlogged class accrues deficit equal to its weight, and the
+// granted class pays back the round quantum (the sum of the backlogged
+// classes' weights). A class whose deficit reaches the quantum is
+// overdue and is granted next — its best ticket in WeightedEDF order —
+// ahead of any heavier class. A class backlogged alongside
 // classes of total weight Σw therefore waits at most ⌈Σw/w_class⌉
 // grants between consecutive grants of its own: with the default
 // weights (1/4/16) a Low ticket is granted within 21 grants of the
 // flood, no matter how much High traffic keeps arriving.
 type Queue struct {
-	mu     sync.Mutex
-	policy Policy
-	// weights is the policy's ClassWeights view; nil (policy doesn't
-	// implement it) disables the deficit machinery entirely.
-	weights ClassWeights
-	clock   Clock
-	h       itemHeap
-	seq     uint64
-	stats   Stats
+	mu    sync.Mutex
+	clock Clock
+	h     itemHeap
+	seq   uint64
+	stats Stats
 	// backlog tracks queued-ticket counts and deficits per class; keys
 	// exist only while the class has tickets queued.
 	backlog map[classKey]*classState
@@ -383,24 +334,16 @@ type Queue struct {
 	perClass map[Priority]*ClassStats
 }
 
-// NewQueue builds a grant queue over the policy (nil = WeightedEDF
-// defaults) and clock (nil = time.Now).
-func NewQueue(policy Policy, clock Clock) *Queue {
-	if policy == nil {
-		policy = WeightedEDF{}
-	}
+// NewQueue builds a grant queue over the clock (nil = time.Now).
+func NewQueue(clock Clock) *Queue {
 	if clock == nil {
 		clock = time.Now
 	}
-	q := &Queue{
-		policy:   policy,
+	return &Queue{
 		clock:    clock,
-		h:        itemHeap{policy: policy},
 		backlog:  map[classKey]*classState{},
 		perClass: map[Priority]*ClassStats{},
 	}
-	q.weights, _ = policy.(ClassWeights)
-	return q
 }
 
 // class returns (creating if needed) the monotonic counter bucket of
@@ -423,16 +366,12 @@ func keyOf(t Ticket) classKey {
 }
 
 // effWeight is the grant weight one ticket of the class carries: the
-// per-tenant override when the key has one, else the policy's class
-// weight. Only called with q.weights non-nil.
-func (q *Queue) effWeight(k classKey) int64 {
+// per-tenant override when the key has one, else the class weight.
+func effWeight(k classKey) int64 {
 	if k.weight > 0 {
 		return int64(k.weight)
 	}
-	if w := q.weights.ClassWeight(k.prio); w > 0 {
-		return int64(w)
-	}
-	return 1
+	return int64(classWeight(k.prio))
 }
 
 // backlogAdd/backlogRemove maintain the per-class queued counts; a
@@ -521,8 +460,8 @@ func (q *Queue) FinishCall(c *Call) {
 	c.items = nil
 }
 
-// Pop removes and returns the best pending request per the policy —
-// or, when a lighter class has gone unserved long enough to become
+// Pop removes and returns the best pending request in WeightedEDF
+// order — or, when a lighter class has gone unserved long enough to become
 // overdue, that class's best request (see the Queue doc for the bound)
 // — discarding stale tickets along the way. It returns nil when the
 // queue is empty.
@@ -559,25 +498,24 @@ func (q *Queue) Pop() func() {
 }
 
 // grantNext selects the next request. The plain path is a heap pop in
-// pure policy order; the deficit path activates only when the policy
-// exposes class weights AND two or more classes are simultaneously
-// backlogged — the only situation where starvation is possible. It
-// returns the selected item, the round quantum in force (0 when the
-// deficit path was inactive), and whether an overdue class overrode
-// the policy's pick. Callers hold q.mu.
+// WeightedEDF order; the deficit path activates only when two or more
+// classes are simultaneously backlogged — the only situation where
+// starvation is possible. It returns the selected item, the round
+// quantum in force (0 when the deficit path was inactive), and whether
+// an overdue class overrode the WeightedEDF pick. Callers hold q.mu.
 func (q *Queue) grantNext() (it *item, quantum int64, overrode bool) {
-	if q.weights == nil || len(q.backlog) < 2 {
+	if len(q.backlog) < 2 {
 		return heap.Pop(&q.h).(*item), 0, false
 	}
 	for k := range q.backlog {
-		quantum += q.effWeight(k)
+		quantum += effWeight(k)
 	}
 	overdueKey, ok := q.overdue(quantum)
 	if !ok || keyOf(q.h.items[0].ticket) == overdueKey {
 		return heap.Pop(&q.h).(*item), quantum, false
 	}
 	// The overdue class is not at the heap head: grant its best ticket
-	// per the policy order instead. Linear scan — queue depths are
+	// in WeightedEDF order instead. Linear scan — queue depths are
 	// bounded by workers×calls in practice, and the scan runs only on
 	// the starvation-relief path.
 	best := -1
@@ -585,7 +523,7 @@ func (q *Queue) grantNext() (it *item, quantum int64, overrode bool) {
 		if keyOf(cand.ticket) != overdueKey {
 			continue
 		}
-		if best < 0 || q.policy.Less(cand.ticket, q.h.items[best].ticket) {
+		if best < 0 || (WeightedEDF{}).Less(cand.ticket, q.h.items[best].ticket) {
 			best = i
 		}
 	}
@@ -605,18 +543,18 @@ func (q *Queue) overdue(quantum int64) (classKey, bool) {
 		if st.deficit < quantum {
 			continue
 		}
-		if bestState == nil || moreOverdue(st, k, bestState, bestKey, q) {
+		if bestState == nil || moreOverdue(st, k, bestState, bestKey) {
 			bestKey, bestState = k, st
 		}
 	}
 	return bestKey, bestState != nil
 }
 
-func moreOverdue(a *classState, ak classKey, b *classState, bk classKey, q *Queue) bool {
+func moreOverdue(a *classState, ak classKey, b *classState, bk classKey) bool {
 	if a.deficit != b.deficit {
 		return a.deficit > b.deficit
 	}
-	if wa, wb := q.effWeight(ak), q.effWeight(bk); wa != wb {
+	if wa, wb := effWeight(ak), effWeight(bk); wa != wb {
 		return wa < wb
 	}
 	if ak.prio != bk.prio {
@@ -635,7 +573,7 @@ func (q *Queue) accrue(granted classKey, quantum int64) {
 		return
 	}
 	for k, st := range q.backlog {
-		st.deficit += q.effWeight(k)
+		st.deficit += effWeight(k)
 	}
 	if st := q.backlog[granted]; st != nil {
 		if st.deficit -= quantum; st.deficit < 0 {
@@ -658,7 +596,7 @@ func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	s := q.stats
-	s.Policy = q.policy.Name()
+	s.Policy = WeightedEDF{}.Name()
 	s.Depth = q.h.Len()
 	if len(q.perClass) > 0 || len(q.backlog) > 0 {
 		s.PerClass = make(map[string]ClassStats, len(q.perClass))
@@ -674,16 +612,14 @@ func (q *Queue) Stats() Stats {
 	return s
 }
 
-// itemHeap orders items by the queue's policy (the heap carries the
-// policy so container/heap's Less can reach it).
+// itemHeap orders items by WeightedEDF.
 type itemHeap struct {
-	policy Policy
-	items  []*item
+	items []*item
 }
 
 func (h *itemHeap) Len() int { return len(h.items) }
 func (h *itemHeap) Less(i, j int) bool {
-	return h.policy.Less(h.items[i].ticket, h.items[j].ticket)
+	return WeightedEDF{}.Less(h.items[i].ticket, h.items[j].ticket)
 }
 func (h *itemHeap) Swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]

@@ -44,12 +44,12 @@ func push(q *Queue, a Attrs, labels map[*int]string, name string) {
 	q.Push(a, nil, func() { *marker = 1 })
 }
 
-// TestWeightedEDFGrantOrder pins the full ordering of the default
-// policy: class weight first, earliest deadline within a class (no
+// TestWeightedEDFGrantOrder pins the full grant order: class weight
+// first, earliest deadline within a class (no
 // deadline sorts last), arrival order as the final tie-break — all
 // deterministic under a fixed clock.
 func TestWeightedEDFGrantOrder(t *testing.T) {
-	q := NewQueue(WeightedEDF{}, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	labels := map[*int]string{}
 
 	// Arrival order is deliberately adversarial: low first, urgent last.
@@ -84,14 +84,15 @@ func TestWeightedEDFGrantOrder(t *testing.T) {
 	}
 }
 
-// TestWeightedEDFEqualWeightsInterleave: classes configured with equal
-// weights fall through to EDF, then arrival order.
+// TestWeightedEDFEqualWeightsInterleave: requests of different classes
+// given equal per-request weight overrides fall through to EDF, then
+// arrival order.
 func TestWeightedEDFEqualWeightsInterleave(t *testing.T) {
-	q := NewQueue(WeightedEDF{Weights: map[Priority]int{Low: 3, Normal: 3, High: 3}}, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	labels := map[*int]string{}
-	push(q, Attrs{Priority: High}, labels, "high-none")
-	push(q, Attrs{Priority: Low, Deadline: t0.Add(time.Second)}, labels, "low-1s")
-	push(q, Attrs{Priority: Normal, Deadline: t0.Add(3 * time.Second)}, labels, "normal-3s")
+	push(q, Attrs{Priority: High, Weight: 3}, labels, "high-none")
+	push(q, Attrs{Priority: Low, Weight: 3, Deadline: t0.Add(time.Second)}, labels, "low-1s")
+	push(q, Attrs{Priority: Normal, Weight: 3, Deadline: t0.Add(3 * time.Second)}, labels, "normal-3s")
 	want := []string{"low-1s", "normal-3s", "high-none"}
 	got := popOrder(t, q, labels)
 	for i := range want {
@@ -101,26 +102,10 @@ func TestWeightedEDFEqualWeightsInterleave(t *testing.T) {
 	}
 }
 
-// TestFIFOIgnoresAttrs: the legacy policy grants strictly by arrival.
-func TestFIFOIgnoresAttrs(t *testing.T) {
-	q := NewQueue(FIFO{}, fixedClock(t0))
-	labels := map[*int]string{}
-	push(q, Attrs{Priority: Low}, labels, "a")
-	push(q, Attrs{Priority: High, Deadline: t0.Add(time.Second)}, labels, "b")
-	push(q, Attrs{Priority: Normal}, labels, "c")
-	got := popOrder(t, q, labels)
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("grant order %v, want %v", got, want)
-		}
-	}
-}
-
 // TestZeroAttrsDegeneratesToFIFO: without scheduling attributes the
-// default policy is exact arrival order — pre-scheduling behavior.
+// grant order is exact arrival order — pre-scheduling behavior.
 func TestZeroAttrsDegeneratesToFIFO(t *testing.T) {
-	q := NewQueue(nil, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	labels := map[*int]string{}
 	for _, name := range []string{"a", "b", "c", "d"} {
 		push(q, Attrs{}, labels, name)
@@ -138,7 +123,7 @@ func TestZeroAttrsDegeneratesToFIFO(t *testing.T) {
 // deadline in the past sheds, the present moment sheds (the deadline is
 // no longer meetable), a future deadline admits.
 func TestShedExpired(t *testing.T) {
-	q := NewQueue(nil, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	if q.ShedExpired(Attrs{}) {
 		t.Fatal("deadline-less request was shed")
 	}
@@ -160,7 +145,7 @@ func TestShedExpired(t *testing.T) {
 // tickets immediately — they are never granted, and they stop counting
 // against the queue depth that admission control reads.
 func TestStaleTicketsDiscarded(t *testing.T) {
-	q := NewQueue(nil, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	call := &Call{}
 	ran := 0
 	q.Push(Attrs{}, call, func() { ran++ })
@@ -224,7 +209,7 @@ func TestContextCarrier(t *testing.T) {
 // grant on the injected clock.
 func TestQueueWaitAccounting(t *testing.T) {
 	now := t0
-	q := NewQueue(nil, func() time.Time { return now })
+	q := NewQueue(func() time.Time { return now })
 	q.Push(Attrs{}, nil, func() {})
 	now = now.Add(250 * time.Millisecond)
 	if run := q.Pop(); run == nil {
@@ -235,34 +220,11 @@ func TestQueueWaitAccounting(t *testing.T) {
 	}
 }
 
-// TestWeightedEDFPartialWeightsMap: a custom map that mentions only
-// some classes must not zero the others — absent classes weigh as
-// Normal (from the map when it defines Normal, else the default), so a
-// partial map can never invert priorities.
-func TestWeightedEDFPartialWeightsMap(t *testing.T) {
-	p := WeightedEDF{Weights: map[Priority]int{Low: 1}}
-	if w := p.weight(Low); w != 1 {
-		t.Fatalf("weight(Low) = %d, want 1", w)
-	}
-	if wn, wh := p.weight(Normal), p.weight(High); wn != DefaultWeights[Normal] || wh != DefaultWeights[Normal] {
-		t.Fatalf("absent classes weigh (%d, %d), want both %d", wn, wh, DefaultWeights[Normal])
-	}
-	// Low must still lose to the unmentioned classes.
-	if p.Less(Ticket{Attrs: Attrs{Priority: Low}, Seq: 1}, Ticket{Attrs: Attrs{Priority: High}, Seq: 2}) {
-		t.Fatal("partial map inverted priorities: Low granted before High")
-	}
-	// A map that redefines Normal lends that weight to absent classes.
-	p2 := WeightedEDF{Weights: map[Priority]int{Normal: 7}}
-	if w := p2.weight(High); w != 7 {
-		t.Fatalf("weight(High) under Normal-only map = %d, want 7", w)
-	}
-}
-
 // TestSoftDeadlineOrdersButNeverSheds: a soft deadline (detached cache
 // fills) participates in EDF ordering exactly like a hard one but is
 // exempt from admission shedding even when expired.
 func TestSoftDeadlineOrdersButNeverSheds(t *testing.T) {
-	q := NewQueue(nil, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	if q.ShedExpired(Attrs{Deadline: t0.Add(-time.Hour), SoftDeadline: true}) {
 		t.Fatal("expired soft deadline was shed")
 	}
@@ -294,7 +256,7 @@ func TestErrShedWrapsDeadlineExceeded(t *testing.T) {
 // still count in the queue-wide sum only.
 func TestQueueWaitAttributedPerRequest(t *testing.T) {
 	now := t0
-	q := NewQueue(nil, func() time.Time { return now })
+	q := NewQueue(func() time.Time { return now })
 	var mine, other WaitCounter
 	q.Push(Attrs{Wait: &mine}, nil, func() {})
 	q.Push(Attrs{Wait: &other}, nil, func() {})
@@ -346,7 +308,7 @@ func TestWaitCounterNilSafe(t *testing.T) {
 // weight ordering the Low ticket is never granted — this test would
 // spin to the bound and fail.
 func TestDeficitStarvationBound(t *testing.T) {
-	q := NewQueue(WeightedEDF{}, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	granted := []string{}
 	pushClass := func(name string, p Priority) {
 		q.Push(Attrs{Priority: p}, nil, func() { granted = append(granted, name) })
@@ -400,7 +362,7 @@ func TestDeficitStarvationBound(t *testing.T) {
 // three classes backlogged — quantum 21, so Low is overdue after 21
 // grants; Normal (weight 4) after ⌈21/4⌉=6 accruals.
 func TestDeficitStarvationBoundThreeClasses(t *testing.T) {
-	q := NewQueue(WeightedEDF{}, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	granted := []string{}
 	pushClass := func(name string, p Priority) {
 		q.Push(Attrs{Priority: p}, nil, func() { granted = append(granted, name) })
@@ -444,10 +406,10 @@ func TestDeficitStarvationBoundThreeClasses(t *testing.T) {
 
 // TestDeficitInactiveSingleClass: with only one class ever backlogged
 // the deficit machinery must stay fully inactive — grant order is the
-// pure policy order and DeficitGrants stays zero. This is the guard
+// pure WeightedEDF order and DeficitGrants stays zero. This is the guard
 // that keeps every bit-determinism suite byte-identical.
 func TestDeficitInactiveSingleClass(t *testing.T) {
-	q := NewQueue(WeightedEDF{}, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	labels := map[*int]string{}
 	push(q, Attrs{Priority: High, Deadline: t0.Add(9 * time.Second)}, labels, "9s")
 	push(q, Attrs{Priority: High, Deadline: t0.Add(3 * time.Second)}, labels, "3s")
@@ -470,7 +432,7 @@ func TestDeficitInactiveSingleClass(t *testing.T) {
 // still cannot be starved by the heavy tenant thanks to the override
 // class accruing its own deficit.
 func TestPerTenantWeightOverride(t *testing.T) {
-	q := NewQueue(WeightedEDF{}, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	labels := map[*int]string{}
 	push(q, Attrs{Priority: Normal}, labels, "normal-default")
 	push(q, Attrs{Priority: High}, labels, "high")
@@ -485,7 +447,7 @@ func TestPerTenantWeightOverride(t *testing.T) {
 
 	// A sustained flood from the weight-32 tenant cannot starve default
 	// Normal: quantum 4+32=36, Normal overdue after 9 grants.
-	q2 := NewQueue(WeightedEDF{}, fixedClock(t0))
+	q2 := NewQueue(fixedClock(t0))
 	granted := []string{}
 	pushW := func(name string, a Attrs) {
 		q2.Push(a, nil, func() { granted = append(granted, name) })
@@ -517,7 +479,7 @@ func TestPerTenantWeightOverride(t *testing.T) {
 // queue-wide ones across grant, shed, and stale outcomes.
 func TestPerClassStatsAccounting(t *testing.T) {
 	clock := fixedClock(t0)
-	q := NewQueue(WeightedEDF{}, clock)
+	q := NewQueue(clock)
 
 	// One granted High, one granted Low.
 	q.Push(Attrs{Priority: High}, nil, func() {})
@@ -561,7 +523,7 @@ func TestPerClassStatsAccounting(t *testing.T) {
 // TestPerClassDepthSnapshot: Depth in the per-class view counts only
 // currently queued tickets and sums to the queue-wide Depth.
 func TestPerClassDepthSnapshot(t *testing.T) {
-	q := NewQueue(WeightedEDF{}, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	q.Push(Attrs{Priority: High}, nil, func() {})
 	q.Push(Attrs{Priority: High}, nil, func() {})
 	q.Push(Attrs{Priority: Low}, nil, func() {})
@@ -581,7 +543,7 @@ func TestPerClassDepthSnapshot(t *testing.T) {
 // concurrent finisher can leave) must be discarded by Pop, counted
 // stale — never run, never counted granted.
 func TestPopDefensiveStaleBranch(t *testing.T) {
-	q := NewQueue(WeightedEDF{}, fixedClock(t0))
+	q := NewQueue(fixedClock(t0))
 	call := &Call{}
 	q.Push(Attrs{Priority: Low}, call, func() { t.Fatal("stale ticket ran") })
 	q.mu.Lock()
@@ -605,7 +567,7 @@ func TestPopDefensiveStaleBranch(t *testing.T) {
 // counts removed tickets, and the per-class counters partition the
 // totals.
 func TestPerClassStaleAccountingConcurrent(t *testing.T) {
-	q := NewQueue(WeightedEDF{}, nil)
+	q := NewQueue(nil)
 	const calls = 60
 	const perCall = 4
 	classes := []Priority{Low, Normal, High}

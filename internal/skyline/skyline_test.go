@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/regretlab/fam/internal/bitset"
 	"github.com/regretlab/fam/internal/point"
 	"github.com/regretlab/fam/internal/rng"
 )
@@ -127,14 +128,14 @@ func TestDominanceSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sets[0].Count(); got != 3 {
-		t.Fatalf("point 0 dominates %d, want 3", got)
-	}
-	if got := sets[1].Count(); got != 1 {
-		t.Fatalf("point 1 dominates %d, want 1", got)
-	}
-	if !sets[1].Contains(3) {
-		t.Fatal("point 1 should dominate point 3")
+	for i, want := range [][]int{{1, 2, 3}, {3}} {
+		w := bitset.New(len(pts))
+		for _, j := range want {
+			w.Add(j)
+		}
+		if sets[i].AndNotCount(w) != 0 || w.AndNotCount(sets[i]) != 0 {
+			t.Fatalf("point %d must dominate exactly %v", i, want)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package stats provides the summary statistics the evaluation section
-// reports: mean, standard deviation, and the regret-ratio-at-percentile
+// reports: mean, variance, and the regret-ratio-at-percentile
 // curves of Figures 3 and 10–12.
 package stats
 
@@ -37,42 +37,6 @@ func Variance(xs []float64) (float64, error) {
 		s += d * d
 	}
 	return s / float64(len(xs)), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// Percentile returns the p-th percentile (p in [0, 100]) of xs using the
-// nearest-rank method on a sorted copy, matching "the regret ratio at the
-// q-th percentile of users" in the paper: the value v such that q percent
-// of users have regret ratio at most v.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of [0,100]")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p == 0 {
-		return sorted[0], nil
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1], nil
 }
 
 // Percentiles evaluates several percentiles with one sort.
@@ -190,33 +154,4 @@ func checkWeights(xs, ws []float64) error {
 		return errors.New("stats: total weight must be positive")
 	}
 	return nil
-}
-
-// Summary bundles the statistics every experiment reports for a sample of
-// per-user regret ratios.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	m, _ := Mean(xs)
-	sd, _ := StdDev(xs)
-	mn, mx := math.Inf(1), math.Inf(-1)
-	for _, v := range xs {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return Summary{N: len(xs), Mean: m, StdDev: sd, Min: mn, Max: mx}, nil
 }

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMeanVariance(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	m, err := Mean(xs)
 	if err != nil || m != 2.5 {
@@ -17,18 +17,11 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if err != nil || math.Abs(v-1.25) > 1e-12 {
 		t.Fatalf("Variance = %v, %v", v, err)
 	}
-	sd, err := StdDev(xs)
-	if err != nil || math.Abs(sd-math.Sqrt(1.25)) > 1e-12 {
-		t.Fatalf("StdDev = %v, %v", sd, err)
-	}
 	if _, err := Mean(nil); err == nil {
 		t.Fatal("empty Mean must error")
 	}
 	if _, err := Variance(nil); err == nil {
 		t.Fatal("empty Variance must error")
-	}
-	if _, err := StdDev(nil); err == nil {
-		t.Fatal("empty StdDev must error")
 	}
 }
 
@@ -41,23 +34,20 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {20, 1}, {40, 2}, {50, 3}, {60, 3}, {80, 4}, {100, 5}, {99, 5},
 	}
 	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil || got != c.want {
-			t.Errorf("Percentile(%v) = %v (%v), want %v", c.p, got, err, c.want)
+		got, err := Percentiles(xs, []float64{c.p})
+		if err != nil || got[0] != c.want {
+			t.Errorf("Percentiles(%v) = %v (%v), want %v", c.p, got, err, c.want)
 		}
 	}
-	if _, err := Percentile(xs, -1); err == nil {
+	if _, err := Percentiles(xs, []float64{-1}); err == nil {
 		t.Fatal("negative percentile must error")
 	}
-	if _, err := Percentile(xs, 101); err == nil {
+	if _, err := Percentiles(xs, []float64{101}); err == nil {
 		t.Fatal("percentile > 100 must error")
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Fatal("empty sample must error")
 	}
 	// Input is not modified.
 	if xs[0] != 5 {
-		t.Fatal("Percentile must not sort the input in place")
+		t.Fatal("Percentiles must not sort the input in place")
 	}
 }
 
@@ -78,20 +68,8 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 2 || s.Mean != 3 || s.Min != 2 || s.Max != 4 || s.StdDev != 1 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if _, err := Summarize(nil); err == nil {
-		t.Fatal("empty Summarize must error")
-	}
-}
-
-// Property: Percentile is monotone in p and agrees with Percentiles.
+// Property: Percentiles is monotone in p, and one call over several p
+// agrees with one call per p.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []uint8, p1, p2 uint8) bool {
 		if len(raw) == 0 {
@@ -105,16 +83,16 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		va, err1 := Percentile(xs, a)
-		vb, err2 := Percentile(xs, b)
+		va, err1 := Percentiles(xs, []float64{a})
+		vb, err2 := Percentiles(xs, []float64{b})
 		if err1 != nil || err2 != nil {
 			return false
 		}
 		multi, err := Percentiles(xs, []float64{a, b})
-		if err != nil || multi[0] != va || multi[1] != vb {
+		if err != nil || multi[0] != va[0] || multi[1] != vb[0] {
 			return false
 		}
-		return va <= vb
+		return va[0] <= vb[0]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -132,16 +110,19 @@ func TestSummaryBoundsProperty(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		s, err := Summarize(xs)
+		mean, err := Mean(xs)
 		if err != nil {
 			return false
 		}
-		lo, _ := Percentile(xs, 0)
-		hi, _ := Percentile(xs, 100)
+		ends, err := Percentiles(xs, []float64{0, 100})
+		if err != nil {
+			return false
+		}
 		sorted := append([]float64(nil), xs...)
 		sort.Float64s(sorted)
-		return lo == sorted[0] && hi == sorted[len(sorted)-1] &&
-			s.Mean >= s.Min-1e-12 && s.Mean <= s.Max+1e-12
+		lo, hi := sorted[0], sorted[len(sorted)-1]
+		return ends[0] == lo && ends[1] == hi &&
+			mean >= lo-1e-12 && mean <= hi+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@
 //     (Dirichlet(1)), the standard "uniform linear" model.
 //   - UniformBoxLinear: weights uniform on [0,1]^d, the measure the 2-d
 //     dynamic program integrates in closed form (Section IV-C2).
-//   - UniformSphereLinear: weights uniform on the non-negative unit sphere.
 //   - CESUniform: CES with simplex-uniform weights and fixed ρ.
 //   - Discrete: a finite set of utility functions with probabilities
 //     (Appendix A).
@@ -111,6 +110,19 @@ type Distribution interface {
 	Name() string
 }
 
+// IsLinear reports whether dist samples plain linear functions w·p of the
+// point's attributes with non-negative weights — the Θ for which
+// MRR-GREEDY can compute each candidate's maximum regret ratio exactly by
+// LP. LatentLinear is linear in latent features, not in the attributes,
+// so it does not qualify.
+func IsLinear(dist Distribution) bool {
+	switch dist.(type) {
+	case UniformSimplexLinear, UniformBoxLinear:
+		return true
+	}
+	return false
+}
+
 // ErrBadDim is returned by constructors given non-positive dimensions.
 var ErrBadDim = errors.New("utility: dimension must be positive")
 
@@ -170,32 +182,6 @@ func (u UniformBoxLinear) Dim() int { return u.D }
 
 // Name implements Distribution.
 func (u UniformBoxLinear) Name() string { return fmt.Sprintf("uniform-box-linear(d=%d)", u.D) }
-
-// UniformSphereLinear samples Linear functions with weights uniform on the
-// non-negative orthant of the unit sphere.
-type UniformSphereLinear struct {
-	D int
-}
-
-// NewUniformSphereLinear validates the dimension.
-func NewUniformSphereLinear(d int) (UniformSphereLinear, error) {
-	if d <= 0 {
-		return UniformSphereLinear{}, ErrBadDim
-	}
-	return UniformSphereLinear{D: d}, nil
-}
-
-// Sample implements Distribution.
-func (u UniformSphereLinear) Sample(g *rng.RNG) Func { return Linear{W: g.UnitSphereNonNeg(u.D)} }
-
-// Monotone implements Distribution.
-func (u UniformSphereLinear) Monotone() bool { return true }
-
-// Dim implements Distribution.
-func (u UniformSphereLinear) Dim() int { return u.D }
-
-// Name implements Distribution.
-func (u UniformSphereLinear) Name() string { return fmt.Sprintf("uniform-sphere-linear(d=%d)", u.D) }
 
 // CESUniform samples CES functions with simplex-uniform weights and a fixed
 // elasticity parameter ρ in (0, 1].

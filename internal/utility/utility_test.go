@@ -52,9 +52,6 @@ func TestConstructorsValidate(t *testing.T) {
 	if _, err := NewUniformBoxLinear(-1); err == nil {
 		t.Fatal("d<0 must error")
 	}
-	if _, err := NewUniformSphereLinear(0); err == nil {
-		t.Fatal("d=0 must error")
-	}
 	if _, err := NewCESUniform(2, 0); err == nil {
 		t.Fatal("rho=0 must error")
 	}
@@ -81,9 +78,8 @@ func TestConstructorsValidate(t *testing.T) {
 func TestDistributionMetadata(t *testing.T) {
 	us, _ := NewUniformSimplexLinear(3)
 	ub, _ := NewUniformBoxLinear(4)
-	usp, _ := NewUniformSphereLinear(2)
 	ces, _ := NewCESUniform(5, 0.5)
-	for _, d := range []Distribution{us, ub, usp, ces} {
+	for _, d := range []Distribution{us, ub, ces} {
 		if !d.Monotone() {
 			t.Fatalf("%s should be monotone", d.Name())
 		}
@@ -92,6 +88,33 @@ func TestDistributionMetadata(t *testing.T) {
 		}
 		if d.Name() == "" {
 			t.Fatal("empty name")
+		}
+	}
+}
+
+// IsLinear is true exactly for the distributions whose samples are w·p
+// with non-negative weights: one row per constructor.
+func TestIsLinear(t *testing.T) {
+	must := func(d Distribution, err error) Distribution {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	cases := []struct {
+		dist Distribution
+		want bool
+	}{
+		{must(NewUniformSimplexLinear(3)), true},
+		{must(NewUniformBoxLinear(2)), true},
+		{must(NewCESUniform(3, 0.5)), false},
+		{must(NewDiscrete([]Func{Linear{W: []float64{1, 0}}}, []float64{1}, true)), false},
+		{must(NewLatentLinear(fixedSampler{w: []float64{1, 2}}, 0)), false},
+	}
+	for _, c := range cases {
+		if got := IsLinear(c.dist); got != c.want {
+			t.Errorf("IsLinear(%s) = %v, want %v", c.dist.Name(), got, c.want)
 		}
 	}
 }

@@ -1,8 +1,7 @@
-// Package vec provides the small dense linear-algebra kernel used by the
-// learning substrates (matrix factorization, Gaussian mixture models) and
-// by the utility-function machinery. It is deliberately minimal: dense
-// float64 vectors and matrices, BLAS-1/2/3 style helpers, and a Cholesky
-// factorization for sampling from multivariate Gaussians.
+// Package vec provides the small dense linear-algebra kernel the Gaussian
+// mixture model is fitted and sampled with. It is deliberately minimal:
+// dense float64 vectors and matrices, a few BLAS-1 style helpers, and a
+// Cholesky factorization for sampling from multivariate Gaussians.
 package vec
 
 import (
@@ -17,29 +16,6 @@ var ErrDimensionMismatch = errors.New("vec: dimension mismatch")
 // ErrNotPositiveDefinite is returned by Cholesky when the input matrix is
 // not (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("vec: matrix not positive definite")
-
-// Dot returns the inner product of a and b.
-// It panics if the lengths differ; callers validate shapes at API
-// boundaries, so an internal mismatch is a programming error.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: Dot length mismatch %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of a.
-func Norm2(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
 
 // Scale multiplies every element of a by c, in place.
 func Scale(a []float64, c float64) {
@@ -78,27 +54,6 @@ func Clone(a []float64) []float64 {
 	return out
 }
 
-// Max returns the maximum element of a and its index.
-// It returns (-Inf, -1) for an empty slice.
-func Max(a []float64) (float64, int) {
-	best, idx := math.Inf(-1), -1
-	for i, v := range a {
-		if v > best {
-			best, idx = v, i
-		}
-	}
-	return best, idx
-}
-
-// Sum returns the sum of the elements of a.
-func Sum(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += v
-	}
-	return s
-}
-
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int
@@ -121,59 +76,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// MulVec computes m · x and returns the result.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("%w: matrix %dx%d times vector %d", ErrDimensionMismatch, m.Rows, m.Cols, len(x))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-	return out, nil
-}
-
-// Mul computes m · other and returns the result.
-func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
-	if m.Cols != other.Rows {
-		return nil, fmt.Errorf("%w: %dx%d times %dx%d", ErrDimensionMismatch, m.Rows, m.Cols, other.Rows, other.Cols)
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for l := 0; l < m.Cols; l++ {
-			a := mi[l]
-			if a == 0 {
-				continue
-			}
-			or := other.Row(l)
-			for j := range oi {
-				oi[j] += a * or[j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
 
 // Cholesky computes the lower-triangular L with m = L·Lᵀ.
 // m must be square and symmetric positive definite; a small jitter can be

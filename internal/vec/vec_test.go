@@ -10,28 +10,19 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
 
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %v, want 32", got)
-	}
-	if got := Dot(nil, nil); got != 0 {
-		t.Fatalf("Dot(nil,nil) = %v, want 0", got)
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
+// mulTransposed returns l·lᵀ, the matrix a Cholesky factor l reconstructs.
+func mulTransposed(l *Matrix) *Matrix {
+	out := NewMatrix(l.Rows, l.Rows)
+	for i := 0; i < l.Rows; i++ {
+		for j := 0; j < l.Rows; j++ {
+			var s float64
+			for k := 0; k < l.Cols; k++ {
+				s += l.At(i, k) * l.At(j, k)
+			}
+			out.Set(i, j, s)
 		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
-func TestNorm2(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Fatalf("Norm2 = %v, want 5", got)
 	}
+	return out
 }
 
 func TestScaleAddScaledSub(t *testing.T) {
@@ -50,19 +41,6 @@ func TestScaleAddScaledSub(t *testing.T) {
 	}
 }
 
-func TestMaxAndSum(t *testing.T) {
-	v, i := Max([]float64{1, 9, 3})
-	if v != 9 || i != 1 {
-		t.Fatalf("Max = (%v,%v)", v, i)
-	}
-	if _, i := Max(nil); i != -1 {
-		t.Fatalf("Max(nil) index = %v, want -1", i)
-	}
-	if s := Sum([]float64{1, 2, 3}); s != 6 {
-		t.Fatalf("Sum = %v", s)
-	}
-}
-
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 0, 1)
@@ -76,51 +54,6 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(1, 0) != 7 {
 		t.Fatal("Row must alias storage")
 	}
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) == 99 {
-		t.Fatal("Clone must not alias")
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 0, 1)
-	m.Set(0, 1, 2)
-	m.Set(1, 0, 3)
-	m.Set(1, 1, 4)
-	out, err := m.MulVec([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 3 || out[1] != 7 {
-		t.Fatalf("MulVec = %v", out)
-	}
-	if _, err := m.MulVec([]float64{1}); err == nil {
-		t.Fatal("expected dimension error")
-	}
-}
-
-func TestMulAndTranspose(t *testing.T) {
-	a := NewMatrix(2, 3)
-	for i := 0; i < 6; i++ {
-		a.Data[i] = float64(i + 1)
-	}
-	b := a.Transpose()
-	if b.Rows != 3 || b.Cols != 2 || b.At(2, 1) != 6 {
-		t.Fatalf("Transpose wrong: %+v", b)
-	}
-	p, err := a.Mul(b) // 2x3 * 3x2 = 2x2
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row 0 of a = [1 2 3]; p[0][0] = 1+4+9 = 14; p[0][1] = 4+10+18 = 32.
-	if p.At(0, 0) != 14 || p.At(0, 1) != 32 || p.At(1, 1) != 77 {
-		t.Fatalf("Mul wrong: %v", p.Data)
-	}
-	if _, err := a.Mul(a); err == nil {
-		t.Fatal("expected dimension error for 2x3 * 2x3")
-	}
 }
 
 func TestCholeskyRoundTrip(t *testing.T) {
@@ -132,11 +65,7 @@ func TestCholeskyRoundTrip(t *testing.T) {
 	l0.Set(2, 0, 0.5)
 	l0.Set(2, 1, -1)
 	l0.Set(2, 2, 1.5)
-	a, err := l0.Mul(l0.Transpose())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := a.Cholesky()
+	l, err := mulTransposed(l0).Cholesky()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +141,7 @@ func TestCholeskyReconstructionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rec, err := l.Mul(l.Transpose())
-		if err != nil {
-			return false
-		}
+		rec := mulTransposed(l)
 		for i := range a.Data {
 			if !almostEqual(rec.Data[i], a.Data[i], 1e-10) {
 				return false
@@ -224,46 +150,6 @@ func TestCholeskyReconstructionProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: (A·B)ᵀ = Bᵀ·Aᵀ on random shapes.
-func TestMulTransposeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		s := uint64(seed)
-		next := func() float64 {
-			s = s*6364136223846793005 + 1442695040888963407
-			return float64(s>>11)/float64(1<<53) - 0.5
-		}
-		r := int(uint64(seed)%3) + 1
-		c := int(uint64(seed)/3%3) + 1
-		k := int(uint64(seed)/9%3) + 1
-		a := NewMatrix(r, c)
-		b := NewMatrix(c, k)
-		for i := range a.Data {
-			a.Data[i] = next()
-		}
-		for i := range b.Data {
-			b.Data[i] = next()
-		}
-		ab, err := a.Mul(b)
-		if err != nil {
-			return false
-		}
-		ba, err := b.Transpose().Mul(a.Transpose())
-		if err != nil {
-			return false
-		}
-		abt := ab.Transpose()
-		for i := range abt.Data {
-			if !almostEqual(abt.Data[i], ba.Data[i], 1e-12) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -180,7 +180,7 @@ func solve(ctx context.Context, ds *Dataset, dist Distribution, prep *prepared, 
 	case MRRGreedy:
 		var set []int
 		var err error
-		if dist.Monotone() && isLinearDist(dist) {
+		if utility.IsLinear(dist) {
 			set, err = baseline.MRRGreedyLP(ctx, in.Points, q.K, exec.Parallelism, in.Pool())
 		} else {
 			set, err = baseline.MRRGreedySampled(ctx, in, q.K)
@@ -240,14 +240,3 @@ func solve(ctx context.Context, ds *Dataset, dist Distribution, prep *prepared, 
 // SampleSize exposes Theorem 4's bound: the number of sampled utility
 // functions needed for error eps at confidence 1-sigma.
 func SampleSize(eps, sigma float64) (int, error) { return sampling.SampleSize(eps, sigma) }
-
-// isLinearDist reports whether the distribution samples plain linear
-// functions (enabling the LP-exact MRR-GREEDY).
-func isLinearDist(dist Distribution) bool {
-	switch dist.(type) {
-	case utility.UniformSimplexLinear, utility.UniformBoxLinear, utility.UniformSphereLinear:
-		return true
-	default:
-		return false
-	}
-}
