@@ -38,8 +38,8 @@ type BatchResult struct {
 //     decision, not a race: it holds at any timing, unlike singleflight
 //     coalescing. EngineStats.PlannedDedups counts the copies.
 //  2. The remaining members are grouped by instance key — the (dataset,
-//     skyline-eligibility, seed, sample size, exactness, cache budget,
-//     coreset eps, float32) tuple that determines which preprocessing
+//     skyline-eligibility, seed, sample size, exactness, coreset eps,
+//     float32) tuple that determines which preprocessing
 //     artifacts they share; the last two join only when set.
 //     EngineStats.PlanGroups counts the groups.
 //  3. Each group runs its representative first, filling the shared
@@ -242,8 +242,8 @@ func (e *Engine) planKey(q Query, i int) string {
 }
 
 // InstanceKey returns the preprocessing-sharing identity of q: the
-// (dataset, skyline-eligibility, seed, sample size, exactness, cache
-// budget) tuple, plus cs=<eps> for Coreset queries and f32 for Float32
+// (dataset, skyline-eligibility, seed, sample size, exactness) tuple,
+// plus cs=<eps> for Coreset queries and f32 for Float32
 // ones, that determines which cached preprocessing artifacts — skyline
 // index, sampled functions, coreset index, built instance — the query
 // reuses.

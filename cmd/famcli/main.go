@@ -60,7 +60,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	var dist fam.Distribution
-	if *ces > 0 {
+	if *ces != 0 {
 		dist, err = fam.CESUniform(ds.Dim(), *ces)
 	} else {
 		dist, err = fam.UniformLinear(ds.Dim())

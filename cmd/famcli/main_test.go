@@ -118,6 +118,8 @@ func TestRunErrors(t *testing.T) {
 		{"-data", "/does/not/exist.csv"},     // missing file
 		{"-data", "x.csv", "-gen", "hotels"}, // both sources
 		{"-gen", "hotels", "-k", "0"},        // bad k
+		{"-gen", "hotels", "-ces", "NaN"},    // ces rho outside (0, 1]
+		{"-gen", "hotels", "-ces", "-0.5"},   // ces rho outside (0, 1]
 	}
 	for i, args := range cases {
 		var out bytes.Buffer

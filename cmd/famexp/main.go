@@ -21,10 +21,8 @@ import (
 	"os"
 	"time"
 
-	fam "github.com/regretlab/fam"
 	"github.com/regretlab/fam/internal/experiments"
 	"github.com/regretlab/fam/internal/kernelbench"
-	"github.com/regretlab/fam/internal/sched"
 )
 
 func main() {
@@ -41,7 +39,6 @@ func run(args []string) error {
 		scale   = fs.String("scale", "small", "bench|small|paper")
 		seed    = fs.Uint64("seed", 1, "random seed")
 		workers = fs.Int("workers", 0, "worker goroutines per instance (0 = all CPUs, 1 = serial; tables are identical, timings change)")
-		prio    = fs.String("priority", "", "scheduling class for the run's fan-outs: low|normal|high (tables are identical at any class)")
 		list    = fs.Bool("list", false, "list experiments and exit")
 		kbench  = fs.Bool("kernel-bench", false, "run the coreset/kernel performance sweep instead of an experiment")
 		kout    = fs.String("out", "", "kernel-bench: write the BENCH_kernel.json report here")
@@ -67,12 +64,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	pr, err := fam.ParsePriority(*prio)
-	if err != nil {
-		return err
-	}
-	cfg := experiments.Config{Scale: sc, Seed: *seed,
-		Exec: experiments.Exec{Parallelism: *workers, Priority: sched.Priority(pr)}}
+	cfg := experiments.Config{Scale: sc, Seed: *seed, Parallelism: *workers}
 	ctx := context.Background()
 
 	runners := experiments.All()

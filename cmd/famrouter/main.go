@@ -1,15 +1,16 @@
 // Command famrouter is the cluster front end over N famserve
 // replicas: one address that terminates the whole famserve API and
-// routes every request to a replica chosen by the routing policy.
-// Instance-key affinity (the default) sends queries that share a
-// preprocessing instance to one owner replica, so the cluster pays a
-// dataset's ~half-second cold preprocessing once instead of once per
-// replica — the distributed analogue of the engine's batch planner.
+// routes every request to a replica chosen by instance-key affinity:
+// queries that share a preprocessing instance go to one owner replica
+// (the least-loaded one when the owner is down or shedding), so the
+// cluster pays a dataset's ~half-second cold preprocessing once
+// instead of once per replica — the distributed analogue of the
+// engine's batch planner.
 //
 // Usage:
 //
 //	famrouter -replicas http://127.0.0.1:8081,http://127.0.0.1:8082,http://127.0.0.1:8083
-//	famrouter -addr :8070 -replicas ... -router-policy least-loaded
+//	famrouter -addr :8070 -replicas ... -shed-cooldown 5s
 //
 // The router polls each replica's GET /healthz on -health-interval;
 // a replica is marked down after -fail-threshold consecutive failed
@@ -48,17 +49,16 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("famrouter", flag.ContinueOnError)
 	var (
-		addr       = fs.String("addr", ":8070", "listen address")
-		replicas   = fs.String("replicas", "", "comma-separated replica base URLs, e.g. http://127.0.0.1:8081,http://127.0.0.1:8082")
-		policyName = fs.String("router-policy", "affinity", "routing policy: affinity, round-robin, least-loaded, or weighted")
-		interval   = fs.Duration("health-interval", 500*time.Millisecond, "period between replica health-check rounds")
-		timeout    = fs.Duration("health-timeout", 2*time.Second, "per-replica health probe timeout")
-		failN      = fs.Int("fail-threshold", 2, "consecutive failed probes that mark a replica down")
-		retries    = fs.Int("retries", 1, "additional replicas to try after a transport failure")
-		cooldown   = fs.Duration("shed-cooldown", 2*time.Second, "how long one observed 429/503 steers affinity away from a replica")
-		shedMax    = fs.Float64("shed-threshold", 0.5, "health-check shed rate above which affinity avoids the owner replica")
-		grace      = fs.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown window for in-flight requests")
-		logger     = slog.New(slog.NewJSONHandler(out, nil))
+		addr     = fs.String("addr", ":8070", "listen address")
+		replicas = fs.String("replicas", "", "comma-separated replica base URLs, e.g. http://127.0.0.1:8081,http://127.0.0.1:8082")
+		interval = fs.Duration("health-interval", 500*time.Millisecond, "period between replica health-check rounds")
+		timeout  = fs.Duration("health-timeout", 2*time.Second, "per-replica health probe timeout")
+		failN    = fs.Int("fail-threshold", 2, "consecutive failed probes that mark a replica down")
+		retries  = fs.Int("retries", 1, "additional replicas to try after a transport failure")
+		cooldown = fs.Duration("shed-cooldown", 2*time.Second, "how long one observed 429/503 steers affinity away from a replica")
+		shedMax  = fs.Float64("shed-threshold", 0.5, "health-check shed rate above which affinity avoids the owner replica")
+		grace    = fs.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown window for in-flight requests")
+		logger   = slog.New(slog.NewJSONHandler(out, nil))
 	)
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil {
@@ -75,14 +75,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	policy, err := cluster.NewPolicy(*policyName, reg)
-	if err != nil {
-		return err
-	}
-	if aff, ok := policy.(*cluster.Affinity); ok {
-		aff.ShedCooldown = *cooldown
-		aff.ShedThreshold = *shedMax
-	}
+	policy := cluster.NewAffinity(reg.Replicas())
+	policy.ShedCooldown = *cooldown
+	policy.ShedThreshold = *shedMax
 
 	checker := cluster.NewHealthChecker(reg, nil)
 	checker.Interval = *interval

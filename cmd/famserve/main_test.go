@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -88,6 +89,11 @@ func TestBuildEngine(t *testing.T) {
 func TestBuildEngineBadSpec(t *testing.T) {
 	if _, _, err := load.BuildEngine(fam.EngineConfig{}, "bogus:1", 0); err == nil {
 		t.Fatal("bad spec must error")
+	}
+	for _, rho := range []float64{math.NaN(), -0.5, 2} {
+		if _, _, err := load.BuildEngine(fam.EngineConfig{}, "hotels:80", rho); err == nil {
+			t.Fatalf("-ces %v must error", rho)
+		}
 	}
 }
 

@@ -521,7 +521,7 @@ func (e *Engine) artifact(ctx context.Context, s stage, _ Exec) (any, error) {
 // bind returns a zero-copy clone of the cached instance carrying the
 // query's Exec and the shared pool.
 func (e *Engine) bind(in *core.Instance, exec Exec) *core.Instance {
-	return in.WithExecution(exec.Parallelism, e.pool, exec.fillAttrs())
+	return in.WithExecution(exec.Parallelism, e.pool)
 }
 
 // QueueDepth reports the number of helper requests currently queued on
@@ -567,18 +567,6 @@ func (e *Engine) admitTraced(ctx context.Context, exec Exec) error {
 	span.SetAttrBool("shed", err != nil)
 	span.End()
 	return err
-}
-
-// effectiveBudget normalizes CacheBudget for cache keys: zero means the
-// default, every negative value means "disabled".
-func effectiveBudget(budget int64) int64 {
-	if budget == 0 {
-		return core.DefaultCacheBudget
-	}
-	if budget < 0 {
-		return -1
-	}
-	return budget
 }
 
 // copyResult returns a deep copy so cache-stored results can never be

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -512,33 +513,78 @@ func TestEngineStatsBatchSnapshotInvariants(t *testing.T) {
 	}
 }
 
-// TestExecWeightIsExecutionPolicyOnly: the per-tenant weight override
-// must never change an answer — only grant order. Equal queries at
-// different weights share one result-cache entry and return identical
-// selections.
-func TestExecWeightIsExecutionPolicyOnly(t *testing.T) {
-	e := newTestEngine(t, engineFixtures(t))
+// TestEngineClassAttribution pins which scheduling class each pool
+// fan-out of an Engine query is credited to. The request context is
+// the only carrier of scheduling attrs: the solver runs under the
+// query's class, while shared artifact builds run at the normal class
+// (the skyline fill is made attr-neutral, and NewInstance takes no
+// context). A class's tickets are granted or go stale, so Granted+Stale
+// counts every ticket it pushed.
+func TestEngineClassAttribution(t *testing.T) {
+	// Builds run at full pool width (GOMAXPROCS); at one CPU they would
+	// run inline and push no tickets to attribute.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	e := NewEngine(EngineConfig{Workers: 2})
+	t.Cleanup(e.Close)
+	ds, err := Synthetic(2000, 3, Anticorrelated, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := UniformLinear(ds.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register("anti", ds, dist); err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	q := Query{Dataset: "hotels", K: 4, Seed: 9, SampleSize: 120}
-
-	base, _, err := e.Select(ctx, q, Exec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	weighted, _, err := e.Select(ctx, q, Exec{Weight: 32, Priority: PriorityLow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !weighted.Cached {
-		t.Fatal("weighted run missed the cache: Weight leaked into the query identity")
-	}
-	if len(base.Indices) != len(weighted.Indices) {
-		t.Fatalf("selection sizes differ: %d vs %d", len(base.Indices), len(weighted.Indices))
-	}
-	for i := range base.Indices {
-		if base.Indices[i] != weighted.Indices[i] {
-			t.Fatalf("selections differ at %d: %v vs %v", i, base.Indices, weighted.Indices)
+	exec := Exec{Priority: PriorityHigh, Parallelism: 4}
+	tickets := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for class, cs := range e.Stats().Sched.PerClass {
+			out[class] = cs.Granted + cs.Stale
 		}
+		return out
+	}
+	selectAt := func(label string, q Query) map[string]uint64 {
+		t.Helper()
+		res, tel, err := e.Select(ctx, q, exec)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if res.Cached {
+			t.Fatalf("%s: answered from the result cache", label)
+		}
+		if tel.Stats.ParallelBatches == 0 {
+			t.Fatalf("%s: the solver never fanned out: %+v", label, tel.Stats)
+		}
+		return tickets()
+	}
+	q := Query{Dataset: "anti", K: 5, Seed: 1, SampleSize: 400}
+
+	// Cold: skyline, instance and solver all run.
+	cold := selectAt("cold", q)
+	if cold["high"] == 0 || cold["normal"] == 0 || cold["low"] != 0 {
+		t.Fatalf("cold select credited %v; want high (solver) and normal (builds), no low", cold)
+	}
+	// Warm instance, another K: only the solver runs, all of it high.
+	q.K = 8
+	warm := selectAt("warm instance", q)
+	if warm["high"] <= cold["high"] || warm["normal"] != cold["normal"] || warm["low"] != 0 {
+		t.Fatalf("warm-instance select moved %v → %v; want only high to grow", cold, warm)
+	}
+	// A new seed on the cached skyline: the instance build is normal.
+	q.Seed = 2
+	fresh := selectAt("cold instance", q)
+	inst := fresh["normal"] - warm["normal"]
+	if fresh["high"] <= warm["high"] || inst == 0 || fresh["low"] != 0 {
+		t.Fatalf("cold-instance select moved %v → %v; want high and normal to grow", warm, fresh)
+	}
+	// Both instances have the same shape, so their builds push the same
+	// tickets; the rest of the cold select's normal tickets are the
+	// skyline build's.
+	if cold["normal"] <= inst {
+		t.Fatalf("cold select credited normal %d, only the instance build's %d: the skyline build is not normal", cold["normal"], inst)
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,25 +73,6 @@ func loadScore(r *Replica) float64 {
 		score += float64(h.QueueDepth)
 	}
 	return score
-}
-
-// WeightedScore blends the health signals into one score: live load,
-// a strong penalty for a shedding replica, and a bonus for a warm
-// result cache. Lowest score wins.
-type WeightedScore struct{}
-
-func (WeightedScore) Name() string { return "weighted" }
-
-func (WeightedScore) Pick(_ RouteKey, candidates []*Replica) (*Replica, string) {
-	return minBy(candidates, func(r *Replica) float64 {
-		score := loadScore(r)
-		if h := r.Health(); h != nil {
-			// A replica shedding 100% of its window scores as 20 extra
-			// queued requests; a fully warm result cache forgives 2.
-			score += 20*h.ShedRate - 2*h.ResultHitRate
-		}
-		return score
-	}), "weighted"
 }
 
 // minBy returns the candidate with the lowest score, first wins ties.
@@ -191,20 +171,4 @@ func (p *Affinity) Learn(key RouteKey, instanceKey string, served *Replica) {
 	defer p.mu.Unlock()
 	p.groups[key.GroupKey] = instanceKey
 	p.owners[instanceKey] = served
-}
-
-// NewPolicy resolves a policy by flag name over the registry's
-// membership.
-func NewPolicy(name string, reg *Registry) (Policy, error) {
-	switch name {
-	case "round-robin":
-		return &RoundRobin{}, nil
-	case "least-loaded":
-		return LeastLoaded{}, nil
-	case "weighted":
-		return WeightedScore{}, nil
-	case "affinity":
-		return NewAffinity(reg.Replicas()), nil
-	}
-	return nil, fmt.Errorf("cluster: unknown policy %q (want round-robin, least-loaded, weighted, or affinity)", name)
 }

@@ -161,11 +161,6 @@ func GreedyAdd(ctx context.Context, in *Instance, k int) ([]int, ShrinkStats, er
 		}
 	}
 	sort.Ints(selected)
-	arr, err := in.ARR(selected)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.FinalARR = arr
 	return selected, stats, nil
 }
 

@@ -68,7 +68,7 @@ func TestStrategyEquivalenceRandomized(t *testing.T) {
 }
 
 // Every parallel solver must be bit-identical to its serial run: same set,
-// same FinalARR bits, same work counters. Only the worker/batch counters
+// same ARR bits, same work counters. Only the worker/batch counters
 // may differ with the worker bound.
 func TestParallelMatchesSerialAllSolvers(t *testing.T) {
 	ctx := context.Background()
@@ -77,6 +77,7 @@ func TestParallelMatchesSerialAllSolvers(t *testing.T) {
 
 	type run struct {
 		set   []int
+		arr   float64
 		stats ShrinkStats
 	}
 	solve := func(in *Instance, name string) run {
@@ -88,25 +89,25 @@ func TestParallelMatchesSerialAllSolvers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return run{set, stats}
+			return run{set, mustARR(t, in, set), stats}
 		case "add":
 			set, stats, err := GreedyAdd(ctx, in, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return run{set, stats}
+			return run{set, mustARR(t, in, set), stats}
 		case "add-plain":
 			set, err := GreedyAddPlain(ctx, in, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return run{set, ShrinkStats{}}
+			return run{set, mustARR(t, in, set), ShrinkStats{}}
 		case "brute":
 			set, arr, err := BruteForce(ctx, in, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return run{set, ShrinkStats{FinalARR: arr}}
+			return run{set, arr, ShrinkStats{}}
 		}
 		t.Fatalf("unknown solver %q", name)
 		return run{}
@@ -127,8 +128,8 @@ func TestParallelMatchesSerialAllSolvers(t *testing.T) {
 			got, ref := solve(par, name), refs[name]
 			label := name
 			sameSet(t, label, got.set, ref.set)
-			if got.stats.FinalARR != ref.stats.FinalARR {
-				t.Fatalf("workers=%d %s: FinalARR %v != %v", workers, label, got.stats.FinalARR, ref.stats.FinalARR)
+			if got.arr != ref.arr {
+				t.Fatalf("workers=%d %s: ARR %v != %v", workers, label, got.arr, ref.arr)
 			}
 			if got.stats.Evaluations != ref.stats.Evaluations ||
 				got.stats.EvalSkipped != ref.stats.EvalSkipped ||
@@ -172,18 +173,21 @@ func TestParallelMatchesSerialWeighted(t *testing.T) {
 		}
 		return in
 	}
-	ref, refStats, err := GreedyShrink(ctx, build(1), 6, StrategyDelta)
+	serial := build(1)
+	ref, _, err := GreedyShrink(ctx, serial, 6, StrategyDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
+	refARR := mustARR(t, serial, ref)
 	for _, workers := range []int{2, 4} {
-		set, stats, err := GreedyShrink(ctx, build(workers), 6, StrategyDelta)
+		in := build(workers)
+		set, _, err := GreedyShrink(ctx, in, 6, StrategyDelta)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameSet(t, "weighted-delta", set, ref)
-		if stats.FinalARR != refStats.FinalARR {
-			t.Fatalf("workers=%d: FinalARR %v != %v", workers, stats.FinalARR, refStats.FinalARR)
+		if arr := mustARR(t, in, set); arr != refARR {
+			t.Fatalf("workers=%d: ARR %v != %v", workers, arr, refARR)
 		}
 	}
 }

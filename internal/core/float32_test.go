@@ -48,18 +48,18 @@ func TestFloat32Tolerance(t *testing.T) {
 			t.Fatal("Float32 accessor does not reflect the option")
 		}
 		for _, strat := range []Strategy{StrategyDelta, StrategyLazy, StrategyNaive} {
-			ref, refStats, err := GreedyShrink(ctx, f64in, k, strat)
+			ref, _, err := GreedyShrink(ctx, f64in, k, strat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			set, stats, err := GreedyShrink(ctx, f32in, k, strat)
+			set, _, err := GreedyShrink(ctx, f32in, k, strat)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(set) != len(ref) {
 				t.Fatalf("seed=%d %v: |set| = %d, want %d", seed, strat, len(set), len(ref))
 			}
-			if diff := math.Abs(stats.FinalARR - refStats.FinalARR); diff > 1e-5 {
+			if diff := math.Abs(mustARR(t, f32in, set) - mustARR(t, f64in, ref)); diff > 1e-5 {
 				t.Fatalf("seed=%d %v: float32 ARR drifted %v from float64", seed, strat, diff)
 			}
 		}
@@ -84,17 +84,17 @@ func TestFloat32CacheBudgetIndependent(t *testing.T) {
 		}
 	}
 	for _, strat := range []Strategy{StrategyDelta, StrategyLazy, StrategyNaive} {
-		ref, refStats, err := GreedyShrink(ctx, cached, k, strat)
+		ref, _, err := GreedyShrink(ctx, cached, k, strat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, stats, err := GreedyShrink(ctx, uncached, k, strat)
+		set, _, err := GreedyShrink(ctx, uncached, k, strat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameSet(t, "f32-budget", set, ref)
-		if stats.FinalARR != refStats.FinalARR {
-			t.Fatalf("%v: FinalARR %v != %v across cache budgets", strat, stats.FinalARR, refStats.FinalARR)
+		if got, want := mustARR(t, uncached, set), mustARR(t, cached, ref); got != want {
+			t.Fatalf("%v: ARR %v != %v across cache budgets", strat, got, want)
 		}
 	}
 	addRef, _, err := GreedyAdd(ctx, cached, k)

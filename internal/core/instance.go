@@ -17,7 +17,6 @@ import (
 	"github.com/regretlab/fam/internal/kernel"
 	"github.com/regretlab/fam/internal/par"
 	"github.com/regretlab/fam/internal/point"
-	"github.com/regretlab/fam/internal/sched"
 	"github.com/regretlab/fam/internal/utility"
 )
 
@@ -41,9 +40,8 @@ type Instance struct {
 	cacheUsed bool
 	f32       bool // float32 storage mode: utilities round through float32
 
-	par   int         // requested worker bound for preprocessing and query (0 = all CPUs)
-	pool  *par.Pool   // externally owned worker pool; nil spawns per-call goroutines
-	sched sched.Attrs // default scheduling attrs for pool fan-outs
+	par  int       // requested worker bound for preprocessing and query (0 = all CPUs)
+	pool *par.Pool // externally owned worker pool; nil spawns per-call goroutines
 }
 
 // Options configures instance construction.
@@ -84,14 +82,9 @@ type Options struct {
 	// fresh goroutines per call; Parallelism still bounds the shard count
 	// of each fan-out, so results remain bit-identical with or without a
 	// pool. Nil keeps the one-shot spawn-per-call behavior.
+	// Preprocessing dispatches at the zero scheduling attrs (normal
+	// class, no deadline): it takes no context.
 	Pool *par.Pool
-	// Sched tags the instance's pool fan-outs with scheduling attributes
-	// (priority class, deadline) for the pool's grant policy whenever the
-	// dispatch context does not already carry its own — request-level
-	// attrs attached via sched.NewContext always win. Scheduling changes
-	// when work is granted helpers, never what it computes: block
-	// decomposition and every reduction are unaffected.
-	Sched sched.Attrs
 }
 
 // DefaultCacheBudget caps the utility cache at 32M entries (256 MB).
@@ -159,7 +152,6 @@ func NewInstance(points [][]float64, funcs []utility.Func, opts Options) (*Insta
 
 	in.par = opts.Parallelism
 	in.pool = opts.Pool
-	in.sched = opts.Sched
 	in.satD = make([]float64, N)
 	in.bestD = make([]int32, N)
 	// Preprocessing is embarrassingly parallel across users: each worker
@@ -171,7 +163,7 @@ func NewInstance(points [][]float64, funcs []utility.Func, opts Options) (*Insta
 	ps := kernel.NewPoints(points, nil)
 	workers := par.Workers(opts.Parallelism, N)
 	errs := make([]error, workers)
-	if err := in.pool.Shards(sched.ContextWithDefault(context.Background(), opts.Sched), workers, N, func(w, lo, hi int) {
+	if err := in.pool.Shards(context.Background(), workers, N, func(w, lo, hi int) {
 		errs[w] = in.preprocessUsers(ps, lo, hi)
 	}); err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 
 	"github.com/regretlab/fam/internal/rng"
 	"github.com/regretlab/fam/internal/sampling"
-	"github.com/regretlab/fam/internal/sched"
 	"github.com/regretlab/fam/internal/utility"
 )
 
@@ -260,7 +259,7 @@ func TestInstanceMemoryFootprint(t *testing.T) {
 	}
 
 	// WithExecution: knobs move, artifacts (and their accounting) don't.
-	clone := cached.WithExecution(3, nil, sched.Attrs{Priority: sched.High})
+	clone := cached.WithExecution(3, nil)
 	if clone.Parallelism() != 3 || clone.Pool() != nil {
 		t.Fatalf("clone knobs = (%d, %v)", clone.Parallelism(), clone.Pool())
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"github.com/regretlab/fam/internal/par"
-	"github.com/regretlab/fam/internal/sched"
 )
 
 // Parallelism returns the worker bound configured for this instance:
@@ -25,18 +24,16 @@ func (in *Instance) SetParallelism(p int) { in.par = p }
 func (in *Instance) Pool() *par.Pool { return in.pool }
 
 // WithExecution returns a shallow clone of the instance with different
-// execution knobs: worker bound, worker pool, and default scheduling
-// attributes for the clone's pool fan-outs. The clone shares every
+// execution knobs: worker bound and worker pool. The clone shares every
 // preprocessing artifact (points, utility functions, the materialized
 // utility matrix, best-point indexes) with the receiver — an Instance
 // is immutable after construction, so a serving engine can cache one
 // preprocessed Instance per dataset and hand each concurrent query its
 // own clone with per-request settings at zero copy cost.
-func (in *Instance) WithExecution(parallelism int, pool *par.Pool, attrs sched.Attrs) *Instance {
+func (in *Instance) WithExecution(parallelism int, pool *par.Pool) *Instance {
 	cp := *in
 	cp.par = parallelism
 	cp.pool = pool
-	cp.sched = attrs
 	return &cp
 }
 
@@ -48,13 +45,12 @@ type evalPool struct {
 	workers int
 	stats   *ShrinkStats
 	pool    *par.Pool
-	attrs   sched.Attrs
 }
 
 // newEvalPool derives the solver's pool from the instance. The stats
 // pointer may be nil for solvers that report no counters (BruteForce).
 func newEvalPool(in *Instance, stats *ShrinkStats) *evalPool {
-	p := &evalPool{workers: in.Parallelism(), stats: stats, pool: in.pool, attrs: in.sched}
+	p := &evalPool{workers: in.Parallelism(), stats: stats, pool: in.pool}
 	if stats != nil {
 		stats.Workers = p.workers
 	}
@@ -92,7 +88,6 @@ func (e *evalPool) dispatch(ctx context.Context, workers, n int, fn func(w, lo, 
 	}
 	// A nil pool spawns per-call goroutines (one-shot Select); a shared
 	// pool multiplexes the same blocks over long-lived helpers, granted
-	// per the instance's scheduling attrs unless the request carries its
-	// own.
-	return e.pool.Shards(sched.ContextWithDefault(ctx, e.attrs), workers, n, fn)
+	// per the scheduling attrs on ctx.
+	return e.pool.Shards(ctx, workers, n, fn)
 }

@@ -56,11 +56,10 @@ func (s Strategy) String() string {
 // set are identical at every worker count; only the batch counters
 // depend on Workers.
 type ShrinkStats struct {
-	Iterations     int     // points removed (n - k)
-	Evaluations    int     // arr(S−{p}) evaluations actually computed
-	EvalSkipped    int     // candidate evaluations avoided by lower bounds
-	UserRescans    int     // users whose best/second point was recomputed
-	FinalARR       float64 // sampled arr of the returned set
+	Iterations     int // points removed (n - k)
+	Evaluations    int // arr(S−{p}) evaluations actually computed
+	EvalSkipped    int // candidate evaluations avoided by lower bounds
+	UserRescans    int // users whose best/second point was recomputed
 	Strategy       Strategy
 	CandidateTotal int // total candidate evaluations a naive run would do
 
@@ -88,11 +87,6 @@ func GreedyShrink(ctx context.Context, in *Instance, k int, strategy Strategy) (
 		return nil, stats, err
 	}
 	sort.Ints(set)
-	arr, err := in.ARR(set)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.FinalARR = arr
 	return set, stats, nil
 }
 

@@ -29,6 +29,16 @@ func TestGreedyShrinkValidation(t *testing.T) {
 	}
 }
 
+// mustARR is in.ARR(set), failing the test on error.
+func mustARR(t *testing.T, in *Instance, set []int) float64 {
+	t.Helper()
+	arr, err := in.ARR(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arr
+}
+
 func TestGreedyShrinkKEqualsN(t *testing.T) {
 	in := randomInstance(t, 5, 2, 30, 2)
 	for _, s := range allStrategies() {
@@ -39,8 +49,8 @@ func TestGreedyShrinkKEqualsN(t *testing.T) {
 		if len(set) != 5 || st.Iterations != 0 {
 			t.Fatalf("%v: set=%v iters=%d", s, set, st.Iterations)
 		}
-		if st.FinalARR != 0 {
-			t.Fatalf("%v: arr(D) = %v, want 0", s, st.FinalARR)
+		if arr := mustARR(t, in, set); arr != 0 {
+			t.Fatalf("%v: arr(D) = %v, want 0", s, arr)
 		}
 	}
 }
@@ -63,10 +73,6 @@ func TestGreedyShrinkBasicShape(t *testing.T) {
 		if st.Iterations != 21 {
 			t.Fatalf("%v: iterations = %d, want 21", s, st.Iterations)
 		}
-		arr, _ := in.ARR(set)
-		if math.Abs(arr-st.FinalARR) > 1e-15 {
-			t.Fatalf("%v: FinalARR %v != ARR %v", s, st.FinalARR, arr)
-		}
 	}
 }
 
@@ -80,18 +86,14 @@ func TestStrategiesAgree(t *testing.T) {
 		in := sampledTableInstance(g, n, N)
 		k := g.IntN(n-1) + 1
 		var ref []int
-		var refARR float64
 		for i, s := range allStrategies() {
-			set, st, err := GreedyShrink(context.Background(), in, k, s)
+			set, _, err := GreedyShrink(context.Background(), in, k, s)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, s, err)
 			}
 			if i == 0 {
-				ref, refARR = set, st.FinalARR
+				ref = set
 				continue
-			}
-			if math.Abs(st.FinalARR-refARR) > 1e-9 {
-				t.Fatalf("seed %d: %v arr %v vs delta arr %v", seed, s, st.FinalARR, refARR)
 			}
 			if len(set) != len(ref) {
 				t.Fatalf("seed %d: %v set %v vs %v", seed, s, set, ref)
@@ -113,7 +115,7 @@ func TestGreedyShrinkVsBruteForce(t *testing.T) {
 		g := rng.New(seed + 900)
 		in := sampledTableInstance(g, 10, 40)
 		for k := 1; k <= 4; k++ {
-			set, st, err := GreedyShrink(context.Background(), in, k, StrategyDelta)
+			set, _, err := GreedyShrink(context.Background(), in, k, StrategyDelta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,8 +123,9 @@ func TestGreedyShrinkVsBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.FinalARR < optARR-1e-12 {
-				t.Fatalf("greedy %v beat the optimum %v?!", st.FinalARR, optARR)
+			arr := mustARR(t, in, set)
+			if arr < optARR-1e-12 {
+				t.Fatalf("greedy %v beat the optimum %v?!", arr, optARR)
 			}
 			// Theorem 3 guarantee with measured steepness.
 			s, err := Steepness(in)
@@ -130,9 +133,9 @@ func TestGreedyShrinkVsBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			bound := ApproxRatioBound(s)
-			if !math.IsInf(bound, 1) && optARR > 1e-12 && st.FinalARR > bound*optARR+1e-9 {
+			if !math.IsInf(bound, 1) && optARR > 1e-12 && arr > bound*optARR+1e-9 {
 				t.Fatalf("seed %d k %d: greedy %v exceeds bound %v × opt %v (set %v)",
-					seed, k, st.FinalARR, bound, optARR, set)
+					seed, k, arr, bound, optARR, set)
 			}
 		}
 	}
@@ -142,16 +145,17 @@ func TestGreedyShrinkMonotoneInK(t *testing.T) {
 	in := randomInstance(t, 30, 3, 300, 7)
 	prev := math.Inf(1)
 	for k := 1; k <= 10; k++ {
-		_, st, err := GreedyShrink(context.Background(), in, k, StrategyDelta)
+		set, _, err := GreedyShrink(context.Background(), in, k, StrategyDelta)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Greedy removal is nested: the k-solution is a superset of the
 		// (k-1)-solution, so arr is monotone along the removal path.
-		if st.FinalARR > prev+1e-12 {
-			t.Fatalf("arr increased with k: %v -> %v at k=%d", prev, st.FinalARR, k)
+		arr := mustARR(t, in, set)
+		if arr > prev+1e-12 {
+			t.Fatalf("arr increased with k: %v -> %v at k=%d", prev, arr, k)
 		}
-		prev = st.FinalARR
+		prev = arr
 	}
 }
 

@@ -84,7 +84,7 @@ func randomTieInput(g *rng.RNG, n, N, d int) tieInput {
 }
 
 // checkStrategiesAgree runs every strategy at Parallelism 1 and 4 under
-// mode m and requires one selected set and one FinalARR bit pattern.
+// mode m and requires one selected set and one ARR bit pattern.
 func checkStrategiesAgree(t *testing.T, ti tieInput, m tieMode, k int) {
 	t.Helper()
 	ctx := context.Background()
@@ -94,18 +94,19 @@ func checkStrategiesAgree(t *testing.T, ti tieInput, m tieMode, k int) {
 	for _, workers := range []int{1, 4} {
 		in := ti.instance(t, m, workers)
 		for _, s := range allStrategies() {
-			set, st, err := GreedyShrink(ctx, in, k, s)
+			set, _, err := GreedyShrink(ctx, in, k, s)
 			if err != nil {
 				t.Fatalf("%s %v workers=%d: %v", m.name, s, workers, err)
 			}
 			label := fmt.Sprintf("%s %v workers=%d k=%d", m.name, s, workers, k)
+			arr := mustARR(t, in, set)
 			if refSet == nil {
-				refSet, refARR, refLabel = set, st.FinalARR, label
+				refSet, refARR, refLabel = set, arr, label
 				continue
 			}
 			sameSet(t, label+" vs "+refLabel, set, refSet)
-			if math.Float64bits(st.FinalARR) != math.Float64bits(refARR) {
-				t.Fatalf("%s: FinalARR %v, %s has %v", label, st.FinalARR, refLabel, refARR)
+			if math.Float64bits(arr) != math.Float64bits(refARR) {
+				t.Fatalf("%s: ARR %v, %s has %v", label, arr, refLabel, refARR)
 			}
 		}
 	}
@@ -202,7 +203,7 @@ func fuzzTieInput(data []byte) (tieInput, tieMode, int) {
 }
 
 // FuzzShrinkStrategies requires delta ≡ lazy ≡ naive (same set, same
-// FinalARR bits, at Parallelism 1 and 4) on every decodable tie-heavy
+// ARR bits, at Parallelism 1 and 4) on every decodable tie-heavy
 // instance, and that no strategy panics. Each strategy's recorded
 // trajectory must also answer every k exactly as GreedyShrink does.
 func FuzzShrinkStrategies(f *testing.F) {

@@ -74,8 +74,8 @@ func (t *Trajectory) record(chosen int, st *ShrinkStats) {
 
 // At returns exactly what GreedyShrink(ctx, in, k, strategy) returns on
 // the instance the trajectory was recorded on (or a WithExecution clone
-// of it): the selected points in ascending order and the run's stats,
-// FinalARR included. It costs one O(n) pass plus the ARR evaluation.
+// of it): the selected points in ascending order and the run's stats.
+// It costs one O(n) pass.
 func (t *Trajectory) At(in *Instance, k int) ([]int, ShrinkStats, error) {
 	if in == nil {
 		return nil, ShrinkStats{}, errors.New("core: nil instance")
@@ -110,11 +110,6 @@ func (t *Trajectory) At(in *Instance, k int) ([]int, ShrinkStats, error) {
 		ParallelBatches: s.parallelBatches,
 		SerialBatches:   s.serialBatches,
 	}
-	arr, err := in.ARR(set)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.FinalARR = arr
 	return set, stats, nil
 }
 

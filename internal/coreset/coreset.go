@@ -36,7 +36,6 @@ import (
 
 	"github.com/regretlab/fam/internal/kernel"
 	"github.com/regretlab/fam/internal/par"
-	"github.com/regretlab/fam/internal/sched"
 	"github.com/regretlab/fam/internal/utility"
 )
 
@@ -53,8 +52,6 @@ type Options struct {
 	// Pool is an externally owned worker pool; nil spawns per-call
 	// goroutines.
 	Pool *par.Pool
-	// Sched tags pool fan-outs with default scheduling attributes.
-	Sched sched.Attrs
 }
 
 // ErrBadEps is returned when the tolerance is outside [0, 1).
@@ -91,7 +88,7 @@ func Filter(ctx context.Context, points [][]float64, cand []int, funcs []utility
 	workers := par.Workers(opts.Parallelism, N)
 	marks := make([][]bool, workers)
 	errs := make([]error, workers)
-	err := opts.Pool.Shards(sched.ContextWithDefault(ctx, opts.Sched), workers, N, func(w, lo, hi int) {
+	err := opts.Pool.Shards(ctx, workers, N, func(w, lo, hi int) {
 		mark := make([]bool, m)
 		vals := make([]float64, m)
 		for u := lo; u < hi; u++ {

@@ -34,7 +34,6 @@ import (
 
 	"github.com/regretlab/fam/internal/geom"
 	"github.com/regretlab/fam/internal/par"
-	"github.com/regretlab/fam/internal/sched"
 	"github.com/regretlab/fam/internal/skyline"
 )
 
@@ -60,10 +59,6 @@ type Options struct {
 	// Pool is an optional externally owned worker pool the layer sweeps
 	// dispatch on; nil spawns per-call goroutines.
 	Pool *par.Pool
-	// Sched tags the pool fan-outs with scheduling attributes for the
-	// pool's grant policy when the context carries none of its own. The
-	// DP tables are identical under any scheduling.
-	Sched sched.Attrs
 }
 
 // ErrBadK is returned when k is not positive.
@@ -89,7 +84,6 @@ func solve(ctx context.Context, points [][]float64, k int, opts Options) (Result
 	if k <= 0 {
 		return Result{}, tables{}, fmt.Errorf("%w: k=%d", ErrBadK, k)
 	}
-	ctx = sched.ContextWithDefault(ctx, opts.Sched)
 	sky, err := skyline.Skyline2DSorted(points)
 	if err != nil {
 		return Result{}, tables{}, err

@@ -207,7 +207,7 @@ func runAblation4(ctx context.Context, cfg Config) ([]*Table, error) {
 
 	// Without skyline: shrink starts from all n points.
 	fullStart := timeNow()
-	inFull, err := core.NewInstance(ds.Points, funcs, core.Options{Parallelism: cfg.Exec.Parallelism, Sched: cfg.Exec.schedAttrs()})
+	inFull, err := core.NewInstance(ds.Points, funcs, core.Options{Parallelism: cfg.Parallelism})
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +230,7 @@ func runAblation4(ctx context.Context, cfg Config) ([]*Table, error) {
 	for i, s := range sky {
 		pts[i] = ds.Points[s]
 	}
-	inSky, err := core.NewInstance(pts, funcs, core.Options{Parallelism: cfg.Exec.Parallelism, Sched: cfg.Exec.schedAttrs()})
+	inSky, err := core.NewInstance(pts, funcs, core.Options{Parallelism: cfg.Parallelism})
 	if err != nil {
 		return nil, err
 	}
@@ -312,19 +312,27 @@ func runAblation6(ctx context.Context, cfg Config) ([]*Table, error) {
 			break
 		}
 		sStart := timeNow()
-		_, sStats, err := core.GreedyShrink(ctx, p.in, k, core.StrategyDelta)
+		sSet, _, err := core.GreedyShrink(ctx, p.in, k, core.StrategyDelta)
 		if err != nil {
 			return nil, err
 		}
 		sTime := timeSince(sStart)
 		aStart := timeNow()
-		_, aStats, err := core.GreedyAdd(ctx, p.in, k)
+		aSet, _, err := core.GreedyAdd(ctx, p.in, k)
 		if err != nil {
 			return nil, err
 		}
 		aTime := timeSince(aStart)
+		sARR, err := p.in.ARR(sSet)
+		if err != nil {
+			return nil, err
+		}
+		aARR, err := p.in.ARR(aSet)
+		if err != nil {
+			return nil, err
+		}
 		t.Rows = append(t.Rows, []string{
-			itoa(k), f4(sStats.FinalARR), f4(aStats.FinalARR), secs(sTime), secs(aTime),
+			itoa(k), f4(sARR), f4(aARR), secs(sTime), secs(aTime),
 		})
 	}
 	return []*Table{t}, nil

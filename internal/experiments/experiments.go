@@ -27,7 +27,6 @@ import (
 	"github.com/regretlab/fam/internal/dataset"
 	"github.com/regretlab/fam/internal/rng"
 	"github.com/regretlab/fam/internal/sampling"
-	"github.com/regretlab/fam/internal/sched"
 	"github.com/regretlab/fam/internal/skyline"
 	"github.com/regretlab/fam/internal/utility"
 )
@@ -56,29 +55,15 @@ func ParseScale(s string) (Scale, error) {
 	}
 }
 
-// Exec is the execution policy of a run, mirroring the library's
-// Query/Exec split: knobs that change how fast the experiments run but
-// never what the tables say.
-type Exec struct {
+// Config parameterizes a run: (Scale, Seed) determines every table
+// cell; Parallelism only how fast the run computes them.
+type Config struct {
+	Scale Scale
+	Seed  uint64
 	// Parallelism bounds the worker goroutines of every instance built by
 	// the experiments (0 = all CPUs, 1 = serial). Results are identical
 	// at any setting; only the timing columns change.
 	Parallelism int
-	// Priority is the scheduling class the run's fan-outs are tagged
-	// with, for experiments sharing a process (and its worker pool) with
-	// serving traffic. Tables are identical at any class.
-	Priority sched.Priority
-}
-
-// schedAttrs converts the Exec's scheduling fields for core.Options.
-func (x Exec) schedAttrs() sched.Attrs { return sched.Attrs{Priority: x.Priority} }
-
-// Config parameterizes a run: (Scale, Seed) is the semantic half — it
-// determines every table cell — and Exec is the execution half.
-type Config struct {
-	Scale Scale
-	Seed  uint64
-	Exec  Exec
 }
 
 // Table is one rendered experiment artifact.
@@ -200,7 +185,7 @@ func newPrep(ds *dataset.Dataset, dist utility.Distribution, n int, seed uint64,
 	if err != nil {
 		return nil, err
 	}
-	in, err := core.NewInstance(points, funcs, core.Options{Parallelism: cfg.Exec.Parallelism, Sched: cfg.Exec.schedAttrs()})
+	in, err := core.NewInstance(points, funcs, core.Options{Parallelism: cfg.Parallelism})
 	if err != nil {
 		return nil, err
 	}

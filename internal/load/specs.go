@@ -130,7 +130,7 @@ func BuildEngine(cfg fam.EngineConfig, specs string, ces float64) (*fam.Engine, 
 	engine := fam.NewEngine(cfg)
 	for _, reg := range regs {
 		var dist fam.Distribution
-		if ces > 0 {
+		if ces != 0 {
 			dist, err = fam.CESUniform(reg.DS.Dim(), ces)
 		} else {
 			dist, err = fam.UniformLinear(reg.DS.Dim())

@@ -26,10 +26,10 @@ import (
 // Shards.
 //
 // Which queued request a freed helper serves next is decided by the
-// grant queue (internal/sched): sched.WeightedEDF orders ready requests
-// by weighted priority class, then earliest deadline, then arrival —
-// exact FIFO for requests without scheduling attributes, which is every
-// caller that does not attach sched.Attrs to its context — with
+// grant queue (internal/sched), in weighted-EDF order: weighted priority
+// class, then earliest deadline, then arrival — exact FIFO for requests
+// without scheduling attributes, which is every caller that does not
+// attach sched.Attrs to its context (the only carrier of them) — with
 // deficit-bounded grants so no class starves. Requests whose deadline
 // has already passed are shed by admission control (Shards returns
 // sched.ErrShed) instead of being queued.
@@ -86,7 +86,7 @@ func NewPoolConfig(cfg Config) *Pool {
 }
 
 // helperLoop serves granted requests until the pool closes. After each
-// wakeup the helper drains the grant queue: WeightedEDF picks the next
+// wakeup the helper drains the grant queue: weighted-EDF picks the next
 // request, stale tickets (their Shards call already finished) are
 // discarded for free.
 func (p *Pool) helperLoop() {

@@ -158,7 +158,7 @@ func TestPoolPreCanceledContext(t *testing.T) {
 // request before the earlier-arrived low-priority one. The test drives
 // the grant queue white-box (the helper is saturated by a directly
 // enqueued blocker), so there is no timing dependence: the pop order is
-// exactly the WeightedEDF order.
+// exactly the weighted-EDF order.
 func TestPoolPriorityGrantOrder(t *testing.T) {
 	pool := NewPoolConfig(Config{Size: 1})
 	defer pool.Close()

@@ -59,12 +59,6 @@ func (p Priority) String() string {
 type Attrs struct {
 	Priority Priority
 	Deadline time.Time
-	// Weight, when positive, overrides the request's class weight —
-	// the per-tenant hook: a tenant granted Weight 8 inside the Normal
-	// class outranks default Normal traffic and accrues deficit at its
-	// own rate, without defining a new Priority. Zero means "use the
-	// class weight from DefaultWeights".
-	Weight int
 	// SoftDeadline keeps the deadline as an ordering signal only: the
 	// request still sorts earliest-deadline-first among its class, but
 	// admission never sheds it when the deadline has passed. Detached
@@ -80,8 +74,8 @@ type Attrs struct {
 	// Span, when non-nil, receives a "pool.grant" event with the
 	// enqueue-to-grant wait for every granted ticket, so a trace shows
 	// each individual grant beside the Wait counter's sum. Like Wait it
-	// is observability, not a scheduling signal (zero() ignores it):
-	// tracing a request must not change how it is granted helpers.
+	// is observability, not a scheduling signal: tracing a request must
+	// not change how it is granted helpers.
 	Span *obs.Span
 }
 
@@ -107,20 +101,13 @@ func (w *WaitCounter) Load() time.Duration {
 	return time.Duration(w.ns.Load())
 }
 
-// zero reports whether the attrs carry no scheduling signal. A wait
-// counter alone is a signal: it must reach the grant queue to
-// attribute waits, even for normal-class no-deadline requests. So is a
-// weight override — it changes grant order even within Normal.
-func (a Attrs) zero() bool {
-	return a.Priority == Normal && a.Deadline.IsZero() && a.Wait == nil && a.Weight == 0
-}
-
 type ctxKey struct{}
 
 // NewContext returns a context carrying the scheduling attributes.
 // Everything dispatched under the returned context — skyline scans,
-// utility materialization, solver evaluations — is granted pool helpers
-// per these attrs.
+// coreset filtering, solver evaluations — is granted pool helpers per
+// these attrs. The context is their only carrier: a pool fan-out
+// without attrs on its context runs at the zero Attrs.
 func NewContext(ctx context.Context, a Attrs) context.Context {
 	return context.WithValue(ctx, ctxKey{}, a)
 }
@@ -130,19 +117,6 @@ func NewContext(ctx context.Context, a Attrs) context.Context {
 func FromContext(ctx context.Context) Attrs {
 	a, _ := ctx.Value(ctxKey{}).(Attrs)
 	return a
-}
-
-// ContextWithDefault attaches attrs only when the context does not
-// already carry any: an instance-level default that request-level
-// attrs always win over.
-func ContextWithDefault(ctx context.Context, a Attrs) context.Context {
-	if a.zero() {
-		return ctx
-	}
-	if _, ok := ctx.Value(ctxKey{}).(Attrs); ok {
-		return ctx
-	}
-	return NewContext(ctx, a)
 }
 
 // ErrShed is returned when admission control rejects a request whose
@@ -165,50 +139,36 @@ type Ticket struct {
 	Seq   uint64
 }
 
-// DefaultWeights are the class weights of the grant order; a request's
-// Attrs.Weight overrides its class weight. The spacing leaves room to
-// slot custom classes between the built-in ones; a class absent from
-// the map weighs as Normal.
-var DefaultWeights = map[Priority]int{Low: 1, Normal: 4, High: 16}
+// policyName names the grant order in Stats.Policy.
+const policyName = "weighted-edf"
 
-// WeightedEDF is the grant order of every Queue: weighted priority
-// classes first (higher weight granted first; equal weights
-// interleave), earliest-deadline-first among requests of equal weight
-// (a request without a deadline sorts after every request with one),
-// arrival order as the final tie-break. With every request at the zero
-// Attrs it degenerates to exact FIFO.
+// classWeight returns the grant weight of the priority class: Low 1,
+// Normal 4, High 16. The spacing leaves room to slot custom classes
+// between the built-in ones; a class outside the three weighs as
+// Normal.
+func classWeight(c Priority) int64 {
+	switch c {
+	case Low:
+		return 1
+	case High:
+		return 16
+	}
+	return 4
+}
+
+// less is the weighted-EDF grant order of every Queue: heavier priority
+// classes first (classes of equal weight interleave),
+// earliest-deadline-first among requests of equal weight (a request
+// without a deadline sorts after every request with one), arrival order
+// as the final tie-break. With every request at the zero Attrs it
+// degenerates to exact FIFO. It is a strict weak ordering that breaks
+// every tie on Seq.
 //
 // Pure weight ordering would starve light classes without bound, so
 // Queue pairs it with deficit-bounded grants: see the Queue
-// documentation for the bound. A request's effective weight is
-// Attrs.Weight when positive (the per-tenant override), else its class
-// weight from DefaultWeights.
-type WeightedEDF struct{}
-
-// Name is the grant order's name as Stats.Policy reports it.
-func (WeightedEDF) Name() string { return "weighted-edf" }
-
-// classWeight returns the weight of the priority class.
-func classWeight(c Priority) int {
-	if v, ok := DefaultWeights[c]; ok {
-		return v
-	}
-	return DefaultWeights[Normal]
-}
-
-// ticketWeight is the effective weight of one request: its per-tenant
-// override when set, else its class weight.
-func ticketWeight(t Ticket) int {
-	if t.Attrs.Weight > 0 {
-		return t.Attrs.Weight
-	}
-	return classWeight(t.Attrs.Priority)
-}
-
-// Less reports whether a is granted before b. It is a strict weak
-// ordering that breaks every tie on Seq.
-func (WeightedEDF) Less(a, b Ticket) bool {
-	if wa, wb := ticketWeight(a), ticketWeight(b); wa != wb {
+// documentation for the bound.
+func less(a, b Ticket) bool {
+	if wa, wb := classWeight(a.Attrs.Priority), classWeight(b.Attrs.Priority); wa != wb {
 		return wa > wb
 	}
 	da, db := a.Attrs.Deadline, b.Attrs.Deadline
@@ -254,8 +214,8 @@ type Stats struct {
 	// yet discarded included).
 	Depth int `json:"depth"`
 	// DeficitGrants counts grants where the anti-starvation machinery
-	// overrode the WeightedEDF pick: an overdue lighter class was granted
-	// ahead of a heavier one. Zero under any load the WeightedEDF order
+	// overrode the weighted-EDF pick: an overdue lighter class was granted
+	// ahead of a heavier one. Zero under any load the weighted-EDF order
 	// serves fairly.
 	DeficitGrants uint64 `json:"deficit_grants"`
 	// PerClass breaks the counters down by priority class, keyed by
@@ -282,39 +242,30 @@ type item struct {
 	index    int // heap position
 }
 
-// classKey identifies one deficit-accounting class: the priority plus
-// any per-tenant weight override. Overridden tickets form their own
-// class, so a tenant's custom weight earns deficit at its own rate
-// instead of piggybacking on the class default.
-type classKey struct {
-	prio   Priority
-	weight int // Attrs.Weight override; 0 = class default
-}
-
 // classState is the live accounting of one backlogged class: how many
 // of its tickets are queued and how much deficit it has accrued.
 // Deficit resets when the class drains — credit never banks across
 // idle periods, which is what keeps the deficit path exactly inactive
-// (and grant order bit-identical to the pure WeightedEDF order)
+// (and grant order bit-identical to the pure weighted-EDF order)
 // whenever classes are not simultaneously backlogged.
 type classState struct {
 	queued  int
 	deficit int64
 }
 
-// Queue is the WeightedEDF-ordered set of pending helper requests. All
+// Queue is the weighted-EDF-ordered set of pending helper requests. All
 // methods are safe for concurrent use.
 //
 // # Starvation bound
 //
 // Weight priority alone starves: under a sustained flood of a heavy
 // class, a queued light ticket is never granted. The queue therefore
-// layers deficit-bounded grants on top of the WeightedEDF order. On
+// layers deficit-bounded grants on top of the weighted-EDF order. On
 // every grant while two or more classes are backlogged, each
 // backlogged class accrues deficit equal to its weight, and the
 // granted class pays back the round quantum (the sum of the backlogged
 // classes' weights). A class whose deficit reaches the quantum is
-// overdue and is granted next — its best ticket in WeightedEDF order —
+// overdue and is granted next — its best ticket in weighted-EDF order —
 // ahead of any heavier class. A class backlogged alongside
 // classes of total weight Σw therefore waits at most ⌈Σw/w_class⌉
 // grants between consecutive grants of its own: with the default
@@ -328,7 +279,7 @@ type Queue struct {
 	stats Stats
 	// backlog tracks queued-ticket counts and deficits per class; keys
 	// exist only while the class has tickets queued.
-	backlog map[classKey]*classState
+	backlog map[Priority]*classState
 	// perClass accumulates the monotonic per-class counters (Depth is
 	// derived from backlog at snapshot time instead).
 	perClass map[Priority]*ClassStats
@@ -341,7 +292,7 @@ func NewQueue(clock Clock) *Queue {
 	}
 	return &Queue{
 		clock:    clock,
-		backlog:  map[classKey]*classState{},
+		backlog:  map[Priority]*classState{},
 		perClass: map[Priority]*ClassStats{},
 	}
 }
@@ -357,40 +308,21 @@ func (q *Queue) class(p Priority) *ClassStats {
 	return cs
 }
 
-func keyOf(t Ticket) classKey {
-	k := classKey{prio: t.Attrs.Priority}
-	if t.Attrs.Weight > 0 {
-		k.weight = t.Attrs.Weight
-	}
-	return k
-}
-
-// effWeight is the grant weight one ticket of the class carries: the
-// per-tenant override when the key has one, else the class weight.
-func effWeight(k classKey) int64 {
-	if k.weight > 0 {
-		return int64(k.weight)
-	}
-	return int64(classWeight(k.prio))
-}
-
 // backlogAdd/backlogRemove maintain the per-class queued counts; a
 // class's deficit dies with its last queued ticket. Callers hold q.mu.
-func (q *Queue) backlogAdd(t Ticket) {
-	k := keyOf(t)
-	st := q.backlog[k]
+func (q *Queue) backlogAdd(p Priority) {
+	st := q.backlog[p]
 	if st == nil {
 		st = &classState{}
-		q.backlog[k] = st
+		q.backlog[p] = st
 	}
 	st.queued++
 }
 
-func (q *Queue) backlogRemove(t Ticket) {
-	k := keyOf(t)
-	if st := q.backlog[k]; st != nil {
+func (q *Queue) backlogRemove(p Priority) {
+	if st := q.backlog[p]; st != nil {
 		if st.queued--; st.queued <= 0 {
-			delete(q.backlog, k)
+			delete(q.backlog, p)
 		}
 	}
 }
@@ -431,7 +363,7 @@ func (q *Queue) Push(a Attrs, call *Call, run func()) {
 		run:      run,
 	}
 	heap.Push(&q.h, it)
-	q.backlogAdd(it.ticket)
+	q.backlogAdd(it.ticket.Attrs.Priority)
 	if call != nil {
 		call.items = append(call.items, it)
 	}
@@ -452,7 +384,7 @@ func (q *Queue) FinishCall(c *Call) {
 		if it.index >= 0 {
 			heap.Remove(&q.h, it.index)
 			it.index = -1
-			q.backlogRemove(it.ticket)
+			q.backlogRemove(it.ticket.Attrs.Priority)
 			q.stats.Stale++
 			q.class(it.ticket.Attrs.Priority).Stale++
 		}
@@ -460,7 +392,7 @@ func (q *Queue) FinishCall(c *Call) {
 	c.items = nil
 }
 
-// Pop removes and returns the best pending request in WeightedEDF
+// Pop removes and returns the best pending request in weighted-EDF
 // order — or, when a lighter class has gone unserved long enough to become
 // overdue, that class's best request (see the Queue doc for the bound)
 // — discarding stale tickets along the way. It returns nil when the
@@ -471,7 +403,7 @@ func (q *Queue) Pop() func() {
 	for q.h.Len() > 0 {
 		it, quantum, overrode := q.grantNext()
 		it.index = -1
-		q.backlogRemove(it.ticket)
+		q.backlogRemove(it.ticket.Attrs.Priority)
 		if it.call != nil && it.call.done {
 			q.stats.Stale++
 			q.class(it.ticket.Attrs.Priority).Stale++
@@ -491,39 +423,39 @@ func (q *Queue) Pop() func() {
 		// wait alongside the engine-wide sum.
 		it.ticket.Attrs.Wait.Add(wait)
 		it.ticket.Attrs.Span.Event("pool.grant", wait)
-		q.accrue(keyOf(it.ticket), quantum)
+		q.accrue(it.ticket.Attrs.Priority, quantum)
 		return it.run
 	}
 	return nil
 }
 
 // grantNext selects the next request. The plain path is a heap pop in
-// WeightedEDF order; the deficit path activates only when two or more
+// weighted-EDF order; the deficit path activates only when two or more
 // classes are simultaneously backlogged — the only situation where
 // starvation is possible. It returns the selected item, the round
 // quantum in force (0 when the deficit path was inactive), and whether
-// an overdue class overrode the WeightedEDF pick. Callers hold q.mu.
+// an overdue class overrode the weighted-EDF pick. Callers hold q.mu.
 func (q *Queue) grantNext() (it *item, quantum int64, overrode bool) {
 	if len(q.backlog) < 2 {
 		return heap.Pop(&q.h).(*item), 0, false
 	}
 	for k := range q.backlog {
-		quantum += effWeight(k)
+		quantum += classWeight(k)
 	}
 	overdueKey, ok := q.overdue(quantum)
-	if !ok || keyOf(q.h.items[0].ticket) == overdueKey {
+	if !ok || q.h.items[0].ticket.Attrs.Priority == overdueKey {
 		return heap.Pop(&q.h).(*item), quantum, false
 	}
 	// The overdue class is not at the heap head: grant its best ticket
-	// in WeightedEDF order instead. Linear scan — queue depths are
+	// in weighted-EDF order instead. Linear scan — queue depths are
 	// bounded by workers×calls in practice, and the scan runs only on
 	// the starvation-relief path.
 	best := -1
 	for i, cand := range q.h.items {
-		if keyOf(cand.ticket) != overdueKey {
+		if cand.ticket.Attrs.Priority != overdueKey {
 			continue
 		}
-		if best < 0 || (WeightedEDF{}).Less(cand.ticket, q.h.items[best].ticket) {
+		if best < 0 || less(cand.ticket, q.h.items[best].ticket) {
 			best = i
 		}
 	}
@@ -534,10 +466,9 @@ func (q *Queue) grantNext() (it *item, quantum int64, overrode bool) {
 // round quantum, if any. Ties (and the pick among several overdue
 // classes) resolve deterministically: larger deficit first, then
 // smaller weight (the lighter class has waited proportionally longer),
-// then smaller priority, then smaller override value. Callers hold
-// q.mu.
-func (q *Queue) overdue(quantum int64) (classKey, bool) {
-	var bestKey classKey
+// then smaller priority. Callers hold q.mu.
+func (q *Queue) overdue(quantum int64) (Priority, bool) {
+	var bestKey Priority
 	var bestState *classState
 	for k, st := range q.backlog {
 		if st.deficit < quantum {
@@ -550,17 +481,14 @@ func (q *Queue) overdue(quantum int64) (classKey, bool) {
 	return bestKey, bestState != nil
 }
 
-func moreOverdue(a *classState, ak classKey, b *classState, bk classKey) bool {
+func moreOverdue(a *classState, ak Priority, b *classState, bk Priority) bool {
 	if a.deficit != b.deficit {
 		return a.deficit > b.deficit
 	}
-	if wa, wb := effWeight(ak), effWeight(bk); wa != wb {
+	if wa, wb := classWeight(ak), classWeight(bk); wa != wb {
 		return wa < wb
 	}
-	if ak.prio != bk.prio {
-		return ak.prio < bk.prio
-	}
-	return ak.weight < bk.weight
+	return ak < bk
 }
 
 // accrue runs the deficit round after a grant: every still-backlogged
@@ -568,12 +496,12 @@ func moreOverdue(a *classState, ak classKey, b *classState, bk classKey) bool {
 // (clamped at zero — credit is relief, not a bankable balance). A
 // quantum of zero means the deficit path was inactive for this grant.
 // Callers hold q.mu.
-func (q *Queue) accrue(granted classKey, quantum int64) {
+func (q *Queue) accrue(granted Priority, quantum int64) {
 	if quantum == 0 {
 		return
 	}
 	for k, st := range q.backlog {
-		st.deficit += effWeight(k)
+		st.deficit += classWeight(k)
 	}
 	if st := q.backlog[granted]; st != nil {
 		if st.deficit -= quantum; st.deficit < 0 {
@@ -596,7 +524,7 @@ func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	s := q.stats
-	s.Policy = WeightedEDF{}.Name()
+	s.Policy = policyName
 	s.Depth = q.h.Len()
 	if len(q.perClass) > 0 || len(q.backlog) > 0 {
 		s.PerClass = make(map[string]ClassStats, len(q.perClass))
@@ -604,22 +532,22 @@ func (q *Queue) Stats() Stats {
 			s.PerClass[p.String()] = *cs
 		}
 		for k, st := range q.backlog {
-			c := s.PerClass[k.prio.String()]
+			c := s.PerClass[k.String()]
 			c.Depth += st.queued
-			s.PerClass[k.prio.String()] = c
+			s.PerClass[k.String()] = c
 		}
 	}
 	return s
 }
 
-// itemHeap orders items by WeightedEDF.
+// itemHeap orders items by less.
 type itemHeap struct {
 	items []*item
 }
 
 func (h *itemHeap) Len() int { return len(h.items) }
 func (h *itemHeap) Less(i, j int) bool {
-	return WeightedEDF{}.Less(h.items[i].ticket, h.items[j].ticket)
+	return less(h.items[i].ticket, h.items[j].ticket)
 }
 func (h *itemHeap) Swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]

@@ -84,16 +84,16 @@ func TestWeightedEDFGrantOrder(t *testing.T) {
 	}
 }
 
-// TestWeightedEDFEqualWeightsInterleave: requests of different classes
-// given equal per-request weight overrides fall through to EDF, then
-// arrival order.
+// TestWeightedEDFEqualWeightsInterleave: a class outside the weight
+// table weighs as Normal, so requests of such custom classes and of
+// Normal fall through to EDF, then arrival order.
 func TestWeightedEDFEqualWeightsInterleave(t *testing.T) {
 	q := NewQueue(fixedClock(t0))
 	labels := map[*int]string{}
-	push(q, Attrs{Priority: High, Weight: 3}, labels, "high-none")
-	push(q, Attrs{Priority: Low, Weight: 3, Deadline: t0.Add(time.Second)}, labels, "low-1s")
-	push(q, Attrs{Priority: Normal, Weight: 3, Deadline: t0.Add(3 * time.Second)}, labels, "normal-3s")
-	want := []string{"low-1s", "normal-3s", "high-none"}
+	push(q, Attrs{Priority: Priority(7)}, labels, "custom7-none")
+	push(q, Attrs{Priority: Priority(5), Deadline: t0.Add(time.Second)}, labels, "custom5-1s")
+	push(q, Attrs{Priority: Normal, Deadline: t0.Add(3 * time.Second)}, labels, "normal-3s")
+	want := []string{"custom5-1s", "normal-3s", "custom7-none"}
 	got := popOrder(t, q, labels)
 	for i := range want {
 		if got[i] != want[i] {
@@ -177,31 +177,17 @@ func TestStaleTicketsDiscarded(t *testing.T) {
 	}
 }
 
-// TestContextCarrier round-trips attrs through a context and pins the
-// default-attachment rule: explicit attrs always win over defaults.
+// TestContextCarrier round-trips attrs through a context; a bare
+// context carries the zero Attrs.
 func TestContextCarrier(t *testing.T) {
 	base := context.Background()
-	if a := FromContext(base); !a.zero() {
+	if a := FromContext(base); a != (Attrs{}) {
 		t.Fatalf("bare context carries attrs %+v", a)
 	}
 	attrs := Attrs{Priority: High, Deadline: t0}
 	ctx := NewContext(base, attrs)
 	if got := FromContext(ctx); got != attrs {
 		t.Fatalf("FromContext = %+v, want %+v", got, attrs)
-	}
-	// A default must not override explicit attrs...
-	d := ContextWithDefault(ctx, Attrs{Priority: Low})
-	if got := FromContext(d); got != attrs {
-		t.Fatalf("default overrode explicit attrs: %+v", got)
-	}
-	// ...but attaches to a bare context...
-	d = ContextWithDefault(base, Attrs{Priority: Low})
-	if got := FromContext(d); got.Priority != Low {
-		t.Fatalf("default not attached: %+v", got)
-	}
-	// ...and a zero default attaches nothing.
-	if d := ContextWithDefault(base, Attrs{}); d != base {
-		t.Fatal("zero default wrapped the context")
 	}
 }
 
@@ -290,14 +276,6 @@ func TestWaitCounterNilSafe(t *testing.T) {
 	w.Add(time.Second)
 	if w.Load() != 0 {
 		t.Fatal("nil WaitCounter accumulated")
-	}
-	var attrs Attrs
-	if !attrs.zero() {
-		t.Fatal("zero Attrs with nil Wait must be zero")
-	}
-	attrs.Wait = new(WaitCounter)
-	if attrs.zero() {
-		t.Fatal("Attrs carrying a wait counter must count as a scheduling signal")
 	}
 }
 
@@ -406,7 +384,7 @@ func TestDeficitStarvationBoundThreeClasses(t *testing.T) {
 
 // TestDeficitInactiveSingleClass: with only one class ever backlogged
 // the deficit machinery must stay fully inactive — grant order is the
-// pure WeightedEDF order and DeficitGrants stays zero. This is the guard
+// pure weighted-EDF order and DeficitGrants stays zero. This is the guard
 // that keeps every bit-determinism suite byte-identical.
 func TestDeficitInactiveSingleClass(t *testing.T) {
 	q := NewQueue(fixedClock(t0))
@@ -423,55 +401,6 @@ func TestDeficitInactiveSingleClass(t *testing.T) {
 	}
 	if s := q.Stats(); s.DeficitGrants != 0 {
 		t.Fatalf("DeficitGrants = %d with a single backlogged class, want 0", s.DeficitGrants)
-	}
-}
-
-// TestPerTenantWeightOverride: Attrs.Weight lets one tenant outrank its
-// class without a new Priority — a Normal request at Weight 32 is
-// granted before default High (weight 16), and default Normal traffic
-// still cannot be starved by the heavy tenant thanks to the override
-// class accruing its own deficit.
-func TestPerTenantWeightOverride(t *testing.T) {
-	q := NewQueue(fixedClock(t0))
-	labels := map[*int]string{}
-	push(q, Attrs{Priority: Normal}, labels, "normal-default")
-	push(q, Attrs{Priority: High}, labels, "high")
-	push(q, Attrs{Priority: Normal, Weight: 32}, labels, "tenant-32")
-	got := popOrder(t, q, labels)
-	want := []string{"tenant-32", "high", "normal-default"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("grant order %v, want %v", got, want)
-		}
-	}
-
-	// A sustained flood from the weight-32 tenant cannot starve default
-	// Normal: quantum 4+32=36, Normal overdue after 9 grants.
-	q2 := NewQueue(fixedClock(t0))
-	granted := []string{}
-	pushW := func(name string, a Attrs) {
-		q2.Push(a, nil, func() { granted = append(granted, name) })
-	}
-	pushW("normal", Attrs{Priority: Normal})
-	for i := 0; i < 3; i++ {
-		pushW("tenant", Attrs{Priority: Normal, Weight: 32})
-	}
-	const bound = 10 // ⌈36/4⌉ + 1
-	normalAt := 0
-	for grant := 1; grant <= bound; grant++ {
-		run := q2.Pop()
-		if run == nil {
-			t.Fatalf("queue empty at grant %d", grant)
-		}
-		run()
-		if granted[len(granted)-1] == "normal" {
-			normalAt = grant
-			break
-		}
-		pushW("tenant", Attrs{Priority: Normal, Weight: 32})
-	}
-	if normalAt == 0 {
-		t.Fatalf("default-normal ticket starved by weight-override tenant flood (bound %d)", bound)
 	}
 }
 

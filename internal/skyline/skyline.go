@@ -67,7 +67,6 @@ import (
 	"github.com/regretlab/fam/internal/bitset"
 	"github.com/regretlab/fam/internal/par"
 	"github.com/regretlab/fam/internal/point"
-	"github.com/regretlab/fam/internal/sched"
 )
 
 // Compute returns the indices (in increasing order) of the skyline points
@@ -86,10 +85,6 @@ type ComputeOptions struct {
 	// Pool is an optional externally owned worker pool; nil spawns
 	// per-call goroutines.
 	Pool *par.Pool
-	// Sched tags the pool fan-outs with scheduling attributes for the
-	// pool's grant policy when the context carries none of its own. The
-	// skyline is identical under any scheduling.
-	Sched sched.Attrs
 }
 
 // computeBlock bounds the number of sorted points filtered per parallel
@@ -154,7 +149,6 @@ func computeOpts(ctx context.Context, points [][]float64, opts ComputeOptions, c
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx = sched.ContextWithDefault(ctx, opts.Sched)
 	lo, hi, err := validBounds(ctx, points, opts)
 	if err != nil {
 		return nil, err

@@ -195,7 +195,7 @@ func NewCESUniform(d int, rho float64) (CESUniform, error) {
 	if d <= 0 {
 		return CESUniform{}, ErrBadDim
 	}
-	if rho <= 0 || rho > 1 {
+	if !(rho > 0 && rho <= 1) { // also rejects NaN
 		return CESUniform{}, fmt.Errorf("utility: CES rho must be in (0,1], got %v", rho)
 	}
 	return CESUniform{D: d, Rho: rho}, nil

@@ -52,11 +52,23 @@ func TestConstructorsValidate(t *testing.T) {
 	if _, err := NewUniformBoxLinear(-1); err == nil {
 		t.Fatal("d<0 must error")
 	}
-	if _, err := NewCESUniform(2, 0); err == nil {
-		t.Fatal("rho=0 must error")
-	}
-	if _, err := NewCESUniform(2, 1.5); err == nil {
-		t.Fatal("rho>1 must error")
+	for _, tc := range []struct {
+		rho float64
+		ok  bool
+	}{
+		{0, false},
+		{-0.5, false},
+		{1.5, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{math.SmallestNonzeroFloat64, true},
+		{0.5, true},
+		{1, true},
+	} {
+		if _, err := NewCESUniform(2, tc.rho); (err == nil) != tc.ok {
+			t.Fatalf("NewCESUniform(2, %v): err = %v, want ok=%v", tc.rho, err, tc.ok)
+		}
 	}
 	if _, err := NewDiscrete(nil, nil, true); err == nil {
 		t.Fatal("empty Discrete must error")

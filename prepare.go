@@ -166,7 +166,7 @@ func prepare(ctx context.Context, src artifactSource, ds *Dataset, dist Distribu
 			build: func(ctx context.Context, x Exec, dep any) (any, error) {
 				fs, _ := funcsOf(dep)
 				return coreset.Filter(ctx, ds.Points, in, fs,
-					coreset.Options{Eps: norm.coresetEps, Parallelism: x.Parallelism, Pool: x.pool, Sched: x.attrs()})
+					coreset.Options{Eps: norm.coresetEps, Parallelism: x.Parallelism, Pool: x.pool})
 			},
 			attrs: func(span *obs.Span, v any) {
 				span.SetAttrInt("in", skySize)
@@ -210,8 +210,8 @@ func prepare(ctx context.Context, src artifactSource, ds *Dataset, dist Distribu
 //	sky|<dataset>
 //	funcs|<dataset>|seed=…|N=…
 //	coreset|<dataset>|<class>|seed=…|N=…|exact=…|eps=…
-//	inst|<dataset>|<class>|seed=…|N=…|exact=…|budget=…[|f32]
-//	<dataset>|sky=<bool>|seed=…|N=…|exact=…|budget=…[|cs=<eps>][|f32]
+//	inst|<dataset>|<class>|seed=…|N=…|exact=…[|f32]
+//	<dataset>|sky=<bool>|seed=…|N=…|exact=…[|cs=<eps>][|f32]
 //
 // Opt-in components append conditionally so established keys stay
 // byte-stable.
@@ -229,7 +229,6 @@ func prepKey(kind, dataset, class string, q Query, norm normalized) string {
 	if kind == "coreset" {
 		return key + fmt.Sprintf("|eps=%g", norm.coresetEps)
 	}
-	key += fmt.Sprintf("|budget=%d", effectiveBudget(q.CacheBudget))
 	if kind == "" && norm.useCoreset {
 		key += fmt.Sprintf("|cs=%g", norm.coresetEps)
 	}
@@ -265,12 +264,10 @@ func assemble(ctx context.Context, ds *Dataset, candidates []int, funcs []Utilit
 		}
 	}
 	in, err := core.NewInstance(points, funcs, core.Options{
-		CacheBudget: q.CacheBudget,
 		Weights:     weights,
 		Float32:     q.Float32,
 		Parallelism: exec.Parallelism,
 		Pool:        exec.pool,
-		Sched:       exec.attrs(),
 	})
 	var ue *core.UtilityError
 	if errors.As(err, &ue) {

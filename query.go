@@ -52,12 +52,6 @@ type Query struct {
 	// weighted evaluation of the paper's Appendix A. It requires a
 	// discrete distribution (e.g. one built with TableUsers).
 	ExactDiscrete bool
-	// CacheBudget caps the materialized utility matrix (entries); zero
-	// uses the default, negative disables caching. It is semantic only in
-	// the weak sense that it changes which code path evaluates utilities —
-	// results are identical either way — but it shapes the preprocessing
-	// artifact, so it participates in the Fingerprint.
-	CacheBudget int64
 	// Coreset enables the ε-kernel candidate prepass: after the skyline
 	// restriction, candidates that are never within CoresetEps of best
 	// for any sampled utility function are dropped before the solver
@@ -73,10 +67,11 @@ type Query struct {
 	// utility. Zero uses DefaultCoresetEps. Requires Coreset.
 	CoresetEps float64
 	// Float32 stores the materialized utility matrix in float32, halving
-	// its resident bytes — the difference between fitting the cache
-	// budget or recomputing per lookup on large instances. Results are
-	// bit-deterministic within the mode (the uncached path rounds
-	// identically, so the cache budget still never changes answers) but
+	// its resident bytes. Whether the matrix is materialized at all is
+	// decided by instance size (core.DefaultCacheBudget entries, the
+	// trade-off of Section III-D3). Results are bit-deterministic within
+	// the mode (the uncached path rounds identically, so materializing
+	// never changes answers) but
 	// numerically differ from float64 runs by the rounding (~1e-7
 	// relative on ARR), so it is opt-in, stats-tolerant, and carries its
 	// own Fingerprint component.
@@ -115,13 +110,6 @@ type Exec struct {
 	// with context.DeadlineExceeded. The deadline also participates in
 	// the pool's earliest-deadline-first grant ordering.
 	Deadline time.Time
-	// Weight, when positive, overrides the query's class weight in the
-	// pool's weighted grant policy — the per-tenant knob: a tenant
-	// granted Weight 8 within PriorityNormal outranks default normal
-	// traffic (and accrues starvation-relief deficit at its own rate)
-	// without occupying a whole priority class. Zero uses the class
-	// weight. Like Priority it never changes an answer.
-	Weight int
 	// MaxQueue bounds the pool's grant-queue depth this query will accept
 	// on admission: when more helper requests than MaxQueue are already
 	// queued, the Engine sheds the query (ErrShed) instead of piling on.
@@ -210,7 +198,7 @@ var ErrShed = errors.New("fam: query shed by admission control")
 
 // attrs converts the Exec's scheduling fields to the internal form.
 func (x Exec) attrs() sched.Attrs {
-	return sched.Attrs{Priority: sched.Priority(x.Priority), Deadline: x.Deadline, Weight: x.Weight, Wait: x.wait}
+	return sched.Attrs{Priority: sched.Priority(x.Priority), Deadline: x.Deadline, Wait: x.wait}
 }
 
 // fillAttrs are the scheduling attrs detached cache fills run under:
@@ -220,7 +208,7 @@ func (x Exec) attrs() sched.Attrs {
 // halfway. The requester's own wait is still bounded by its context
 // deadline.
 func (x Exec) fillAttrs() sched.Attrs {
-	return sched.Attrs{Priority: sched.Priority(x.Priority), Deadline: x.Deadline, Weight: x.Weight, SoftDeadline: true, Wait: x.wait}
+	return sched.Attrs{Priority: sched.Priority(x.Priority), Deadline: x.Deadline, SoftDeadline: true, Wait: x.wait}
 }
 
 // admit applies the Exec's admission policy: a deadline that has
@@ -317,10 +305,10 @@ type Telemetry struct {
 // Fingerprint returns the canonical cache identity of the query: a
 // stable string over the semantic fields only, with the sampling
 // parameters resolved (Epsilon/Sigma folded into the effective sample
-// size) and the cache budget normalized. Two queries with the same
-// Fingerprint produce bit-identical Results under any Exec — this is the
-// key the Engine's result cache uses, which is why equal-seed queries
-// share entries across parallelism settings.
+// size). Two queries with the same Fingerprint produce bit-identical
+// Results under any Exec — this is the key the Engine's result cache
+// uses, which is why equal-seed queries share entries across
+// parallelism settings.
 //
 // The dataset is identified by name — Dataset (the registry name) or,
 // for one-shot queries, Data.Name — not by content. Engine registries
@@ -347,8 +335,8 @@ func (q Query) Fingerprint() (string, error) {
 	if q.ExplicitSet != nil {
 		// Evaluation queries: K and Algorithm are ignored, the set is the
 		// identity.
-		fmt.Fprintf(&sb, "eval|%s|seed=%d|N=%d|exact=%t|budget=%d",
-			name, q.Seed, sampleSize, q.ExactDiscrete, effectiveBudget(q.CacheBudget))
+		fmt.Fprintf(&sb, "eval|%s|seed=%d|N=%d|exact=%t",
+			name, q.Seed, sampleSize, q.ExactDiscrete)
 		if q.Float32 {
 			sb.WriteString("|f32=t")
 		}
@@ -364,9 +352,9 @@ func (q Query) Fingerprint() (string, error) {
 	if q.Algorithm < GreedyShrink || q.Algorithm > GreedyAdd {
 		return "", fmt.Errorf("%w: unknown algorithm %d", ErrBadOptions, int(q.Algorithm))
 	}
-	fmt.Fprintf(&sb, "sel|%s|algo=%s|k=%d|seed=%d|N=%d|exact=%t|nosky=%t|budget=%d",
+	fmt.Fprintf(&sb, "sel|%s|algo=%s|k=%d|seed=%d|N=%d|exact=%t|nosky=%t",
 		name, q.Algorithm, q.K, q.Seed, sampleSize, q.ExactDiscrete,
-		q.DisableSkyline, effectiveBudget(q.CacheBudget))
+		q.DisableSkyline)
 	// Opt-in semantic knobs append conditionally so fingerprints of
 	// queries that never touch them are byte-stable across releases.
 	if q.Coreset {

@@ -40,7 +40,6 @@ func TestQueryFingerprintCanonical(t *testing.T) {
 		"Seed":        func(q *Query) { q.Seed = 8 },
 		"SampleSize":  func(q *Query) { q.SampleSize = 100 },
 		"Skyline":     func(q *Query) { q.DisableSkyline = true },
-		"CacheBudget": func(q *Query) { q.CacheBudget = -1 },
 		"Dataset":     func(q *Query) { q.Dataset = "nba" },
 		"ExplicitSet": func(q *Query) { q.ExplicitSet = []int{1, 2} },
 	} {

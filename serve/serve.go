@@ -951,8 +951,8 @@ func uploadDistribution(spec string, dim int) (fam.Distribution, error) {
 	case spec == "box":
 		return fam.UniformBoxLinear(dim)
 	case len(spec) > 4 && spec[:4] == "ces:":
-		var rho float64
-		if _, err := fmt.Sscanf(spec[4:], "%g", &rho); err != nil {
+		rho, err := strconv.ParseFloat(spec[4:], 64)
+		if err != nil {
 			return nil, fmt.Errorf("bad ces rho %q: %w", spec[4:], err)
 		}
 		return fam.CESUniform(dim, rho)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -475,6 +476,61 @@ func TestServeUpload(t *testing.T) {
 	}
 	if stats.HTTP.Uploads != 2 || stats.Engine.Datasets != 2 {
 		t.Fatalf("upload counters: %+v %+v", stats.HTTP, stats.Engine)
+	}
+}
+
+// TestServeUploadDistSpec: the whole ?dist= value must parse. A ces
+// rho with trailing input, or one outside (0, 1] such as NaN, is a 400
+// and registers nothing; an accepted spec names its distribution.
+func TestServeUploadDistSpec(t *testing.T) {
+	engine := fam.NewEngine(fam.EngineConfig{})
+	t.Cleanup(engine.Close)
+	srv := httptest.NewServer(NewHandler(engine))
+	t.Cleanup(srv.Close)
+	csv := "a,b\n0.1,0.9\n0.9,0.1\n0.5,0.6\n"
+	for i, tc := range []struct {
+		dist string
+		code int
+		name string // Distribution name echoed on 201
+	}{
+		{"", http.StatusCreated, "uniform-simplex-linear(d=2)"},
+		{"linear", http.StatusCreated, "uniform-simplex-linear(d=2)"},
+		{"box", http.StatusCreated, "uniform-box-linear(d=2)"},
+		{"ces:0.5", http.StatusCreated, "ces(d=2,rho=0.5)"},
+		{"ces:1", http.StatusCreated, "ces(d=2,rho=1)"},
+		{"ces:0.5abc", http.StatusBadRequest, ""},
+		{"ces:0.5 ", http.StatusBadRequest, ""},
+		{"ces:NaN", http.StatusBadRequest, ""},
+		{"ces:nan", http.StatusBadRequest, ""},
+		{"ces:Inf", http.StatusBadRequest, ""},
+		{"ces:0", http.StatusBadRequest, ""},
+		{"ces:1.5", http.StatusBadRequest, ""},
+		{"ces:", http.StatusBadRequest, ""},
+		{"quantum", http.StatusBadRequest, ""},
+	} {
+		u := fmt.Sprintf("%s/v1/datasets?name=d%d&dist=%s", srv.URL, i, url.QueryEscape(tc.dist))
+		resp, err := http.Post(u, "text/csv", strings.NewReader(csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Fatalf("dist=%q: status %d, want %d: %s", tc.dist, resp.StatusCode, tc.code, body)
+		}
+		if tc.code != http.StatusCreated {
+			continue
+		}
+		var up UploadResponse
+		if err := json.Unmarshal(body, &up); err != nil {
+			t.Fatal(err)
+		}
+		if up.Dataset.Distribution != tc.name {
+			t.Fatalf("dist=%q: registered %q, want %q", tc.dist, up.Dataset.Distribution, tc.name)
+		}
+	}
+	if got := engine.Stats().Datasets; got != 5 {
+		t.Fatalf("%d datasets registered, want the 5 accepted specs", got)
 	}
 }
 
