@@ -292,6 +292,18 @@ func (in *Instance) Transposed() *kernel.Transposed {
 	return in.mat.Transpose()
 }
 
+// Release hands the materialized utility matrix, if it holds at most
+// 16 MiB, to the next instance built with a matrix of the same length
+// and storage mode (kernel.Matrix.Release), which then skips allocating
+// and zeroing it. Only the instance's sole owner may call it, after
+// every computation on the instance has returned; the instance must not
+// be used afterwards. It does nothing for an uncached instance.
+func (in *Instance) Release() {
+	if in.cacheUsed {
+		in.mat.Release()
+	}
+}
+
 // NumPoints returns n.
 func (in *Instance) NumPoints() int { return len(in.Points) }
 

@@ -18,7 +18,20 @@
 // store and load, so At, Row scans and Transposed columns all observe
 // the identical rounded value — results are bit-deterministic within a
 // storage mode; only across modes do they differ.
+//
+// Slab reuse contract: Release hands a matrix's backing array of at
+// most spareMaxBytes (16 MiB) to the package, which keeps at most one
+// released array per storage mode (a later Release replaces the held
+// one; a larger array is left to the garbage collector). New empties
+// the slot of its mode and takes the held array only when its length is
+// exactly users×points, so FootprintBytes stays exact; otherwise it
+// drops it and allocates. A reused array is not zeroed: New hands out
+// whatever the released matrix held, so every caller must store each
+// entry (FillRow does) before any entry is read. After Release the
+// matrix must not be used, and no goroutine may still read it.
 package kernel
+
+import "sync"
 
 // Block is the tile edge used by the cache-blocked transpose. 64×64
 // float64 tiles (32 KB source + 32 KB destination working set) fit
@@ -34,16 +47,65 @@ type Matrix struct {
 	f32    []float32
 }
 
-// New allocates a users×points matrix. float32Mode selects the halved
-// storage representation.
+// spareMaxBytes bounds the backing array Release keeps: at most one
+// per storage mode, so a process holds at most 2·spareMaxBytes of
+// released arrays. 16 MiB covers a 691-user matrix over ~3 000 points
+// in float64.
+const spareMaxBytes = 16 << 20
+
+// spare holds the last released backing array of each storage mode. It
+// is a single strong slot rather than a sync.Pool: a pooled array parked
+// in one P's private cache cannot serve a New on another P, so two
+// arrays of the largest matrix would stay live.
+var spare struct {
+	mu  sync.Mutex
+	f64 []float64
+	f32 []float32
+}
+
+// New returns a users×points matrix. float32Mode selects the halved
+// storage representation. Its entries are unspecified (see the package
+// doc): the caller fills every row before reading any.
 func New(users, points int, float32Mode bool) *Matrix {
 	m := &Matrix{users: users, points: points}
 	if float32Mode {
-		m.f32 = make([]float32, users*points)
+		m.f32 = take(&spare.f32, users*points)
 	} else {
-		m.f64 = make([]float64, users*points)
+		m.f64 = take(&spare.f64, users*points)
 	}
 	return m
+}
+
+// take empties *slot and returns its array when the length is exactly
+// size. Otherwise it allocates, and the emptied slot leaves the held
+// array to the garbage collector before the new one is made.
+func take[T float32 | float64](slot *[]T, size int) []T {
+	spare.mu.Lock()
+	s := *slot
+	*slot = nil
+	spare.mu.Unlock()
+	if s == nil || len(s) != size {
+		s = make([]T, size)
+	}
+	return s
+}
+
+// Release hands m's backing array to the next New of the same storage
+// mode and size, replacing any array released before, when it holds at
+// most spareMaxBytes. Only m's sole owner may call it, once no goroutine
+// reads m any longer; m must not be used afterwards (reading an entry
+// panics).
+func (m *Matrix) Release() {
+	f32, f64 := m.f32, m.f64
+	m.f32, m.f64 = nil, nil
+	spare.mu.Lock()
+	defer spare.mu.Unlock()
+	switch {
+	case len(f32) > 0 && len(f32)*4 <= spareMaxBytes:
+		spare.f32 = f32
+	case len(f64) > 0 && len(f64)*8 <= spareMaxBytes:
+		spare.f64 = f64
+	}
 }
 
 // Users returns the row count N.

@@ -178,3 +178,77 @@ func TestFootprintBytes(t *testing.T) {
 		t.Fatalf("f32 footprint: got %d want %d", got, want)
 	}
 }
+
+// TestReleaseReuse pins the New/Release contract: one spare per storage
+// mode, taken only at the exact length, dropped by a New of another
+// length, replaced by a later Release, and never kept above
+// spareMaxBytes.
+func TestReleaseReuse(t *testing.T) {
+	New(6, 5, false) // empty any spare a test before left
+	New(6, 5, true)
+	a := New(6, 5, false)
+	arr := &a.f64[0]
+	a.Release()
+	if a.f64 != nil || a.f32 != nil {
+		t.Fatal("Release left the matrix its array")
+	}
+	if b := New(6, 5, true); !b.Float32() {
+		t.Fatal("a float32 New returned float64 storage")
+	}
+	b := New(5, 6, false) // same length, other shape
+	if &b.f64[0] != arr {
+		t.Fatal("New did not take the spare of its length")
+	}
+	if got, want := b.FootprintBytes(), int64(24+6*5*8); got != want {
+		t.Fatalf("reused footprint: got %d want %d", got, want)
+	}
+	if c := New(6, 5, false); &c.f64[0] == arr {
+		t.Fatal("the spare was handed out twice")
+	}
+
+	b.Release()
+	if c := New(6, 4, false); &c.f64[0] == arr {
+		t.Fatal("New took a spare of another length")
+	}
+	if c := New(6, 5, false); &c.f64[0] == arr {
+		t.Fatal("a New of another length did not drop the spare")
+	}
+
+	d := New(6, 5, false)
+	d.Release()
+	e := New(2, 2, false)
+	eArr := &e.f64[0]
+	e.Release() // replaces d's array
+	if c := New(2, 2, false); &c.f64[0] != eArr {
+		t.Fatal("a later Release did not replace the held spare")
+	}
+
+	f := New(6, 5, true)
+	fArr := &f.f32[0]
+	f.Release()
+	if c := New(6, 5, false); c.Float32() {
+		t.Fatal("a float64 New returned float32 storage")
+	}
+	if c := New(6, 5, true); &c.f32[0] != fArr {
+		t.Fatal("the float32 spare was not kept apart from the float64 one")
+	}
+
+	// One row past the bound in each mode is not kept.
+	for _, f32 := range []bool{false, true} {
+		width := spareMaxBytes / 8
+		if f32 {
+			width = spareMaxBytes / 4
+		}
+		big := New(2, width/2+1, f32)
+		big.Release()
+		if spare.f64 != nil || spare.f32 != nil {
+			t.Fatalf("f32=%v: an array past spareMaxBytes was kept", f32)
+		}
+		small := New(2, width/2, f32)
+		small.Release()
+		if f32 && len(spare.f32) != width || !f32 && len(spare.f64) != width {
+			t.Fatalf("f32=%v: an array of exactly spareMaxBytes was not kept", f32)
+		}
+		New(2, width/2, f32) // empty the slot
+	}
+}

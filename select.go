@@ -57,6 +57,18 @@ var ErrInvalidSet = core.ErrInvalidSet
 // executing under the given policy. The Result depends only on the
 // Query; the Exec moves only the Telemetry. Queries with a non-nil
 // ExplicitSet are evaluation queries and belong to Evaluate.
+//
+// Memory: the N×n utility matrix a one-shot call builds is the call's
+// alone, so when the call returns its backing slab stays with the
+// process for the next one-shot call, which reuses it instead of
+// allocating and zeroing a new one. The process keeps at most one slab
+// per storage mode (float64, float32), the last one released and only
+// if it holds at most 16 MiB, so at most 32 MiB stay pinned between
+// calls. A matrix of exactly the slab's size reuses it; a matrix of any
+// other size drops it and allocates. An Engine never recycles its
+// instances: a cached or just-evicted instance may still be read by a
+// request in flight, and its fresh-seed instances rarely match a
+// spare's size exactly.
 func Select(ctx context.Context, q Query, exec Exec) (*Result, *Telemetry, error) {
 	if q.ExplicitSet != nil {
 		return nil, nil, fmt.Errorf("%w: ExplicitSet makes this an evaluation query; call Evaluate", ErrBadOptions)
@@ -82,6 +94,9 @@ func Select(ctx context.Context, q Query, exec Exec) (*Result, *Telemetry, error
 	}
 	preprocess := time.Since(preStart)
 	res, tel, err := solve(ctx, q.Data, q.Dist, prep, q, exec, nil)
+	// The instance is this call's alone and every fan-out of solve has
+	// joined, so its matrix slab can go to the next one-shot call.
+	prep.in.Release()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -92,7 +107,10 @@ func Select(ctx context.Context, q Query, exec Exec) (*Result, *Telemetry, error
 }
 
 // Evaluate measures the Metrics of q.ExplicitSet (dataset row indices)
-// under q.Dist with the query's sampling parameters.
+// under q.Dist with the query's sampling parameters. Like Select, it
+// leaves its utility-matrix slab for the next one-shot call of the same
+// matrix size (see Select's memory note; Engine instances are never
+// recycled).
 func Evaluate(ctx context.Context, q Query, exec Exec) (Metrics, error) {
 	norm, err := normalizeQuery(q.Data, q.Dist, q, false)
 	if err != nil {
@@ -114,7 +132,9 @@ func Evaluate(ctx context.Context, q Query, exec Exec) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	return prep.in.Evaluate(q.ExplicitSet, nil)
+	m, err := prep.in.Evaluate(q.ExplicitSet, nil)
+	prep.in.Release()
+	return m, err
 }
 
 // shrinkFunc answers a GREEDY-SHRINK selection of k points on prepared
