@@ -21,9 +21,11 @@ import (
 // sum `s := 0; s += W[i]*p[i]` in ascending i, exactly the expression of
 // Linear.Value — chunking splits the sequence of additions, never
 // reorders it — so each value is bit-identical to the per-entry call in
-// either storage mode. Every other Func (CES, Table, LatentLinear's
-// offset form, caller-supplied ones) falls back to Value at the
-// candidate's dataset index.
+// either storage mode. On amd64 with AVX a float64 row's last chunk of
+// four columns runs four points per instruction (store4Vector), with the
+// same operations in the same order in each lane. Every other Func
+// (CES, Table, LatentLinear's offset form, caller-supplied ones) falls
+// back to Value at the candidate's dataset index.
 type Points struct {
 	points [][]float64 // the dataset the candidates index into
 	idx    []int       // dataset index of each candidate; nil = every point
@@ -117,6 +119,12 @@ const negZero = 1 << 63
 // NaN, −Inf or negative value ranks above +Inf. So the row is valid
 // exactly when its largest key is below +Inf's, and the first entry
 // holding that key is Scan's argmax.
+//
+// A float64 row whose last chunk has four columns runs it through
+// store4Vector when useVector is set, and through store4 otherwise.
+// Both store the same bits, a NaN's payload aside, and return the same
+// key and index, except that for a block holding a NaN both keys are
+// only known to be at or above +Inf's: all this function reads of them.
 func linearRow[T float32 | float64](w, cols []float64, dst []T) int {
 	d, m := len(w), len(dst)
 	var buf [fillBlock]float64
@@ -146,7 +154,11 @@ func linearRow[T float32 | float64](w, cols []float64, dst []T) int {
 		case 3:
 			k, a = store3(out, acc, col(i), col(i+1), col(i+2), w[i], w[i+1], w[i+2])
 		default:
-			k, a = store4(out, acc, col(i), col(i+1), col(i+2), col(i+3), w[i], w[i+1], w[i+2], w[i+3])
+			if o, ok := any(out).([]float64); ok && useVector {
+				k, a = store4Vector(o, acc, col(i), col(i+1), col(i+2), col(i+3), w[i], w[i+1], w[i+2], w[i+3])
+			} else {
+				k, a = store4(out, acc, col(i), col(i+1), col(i+2), col(i+3), w[i], w[i+1], w[i+2], w[i+3])
+			}
 		}
 		if k > best {
 			best, argmax = k, j0+a
@@ -186,7 +198,10 @@ func add4(acc, x0, x1, x2, x3 []float64, w0, w1, w2, w3 float64) {
 // The store functions finish a block with its last one to four columns:
 // each adds them to the partial sum, stores T(s), and returns the
 // block's largest key and the first index holding it (0 when every key
-// is +0's). A −0 never raises the key: it ranks as +0.
+// is +0's). A −0 never raises the key: it ranks as +0. store4 is also
+// the reference for store4Vector, which replaces it for float64 storage
+// on amd64 CPUs with AVX; float32 storage, the other chunks and every
+// other CPU run these loops.
 
 func store1[T float32 | float64](dst []T, acc, x0 []float64, w0 float64) (best uint64, arg int) {
 	dst, x0 = dst[:len(acc)], x0[:len(acc)]

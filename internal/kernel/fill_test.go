@@ -202,7 +202,8 @@ var fuzzPalette = []float64{
 
 // FuzzFill checks the Linear fill and its fused check against Value
 // followed by the ordered Scan, in both storage modes, on d ≤ 9 columns
-// and rows that span blocks. Regular values come from seed; each triple
+// and rows that span blocks, and the vector last chunk against the
+// scalar store4 on the same row. Regular values come from seed; each triple
 // of specials puts fuzzPalette[c] at weight or attribute (a<<8|b).
 func FuzzFill(f *testing.F) {
 	f.Add(uint8(3), uint16(7), int64(1), []byte{})
@@ -227,7 +228,26 @@ func FuzzFill(f *testing.F) {
 				pts[(at-d)/d][(at-d)%d] = v
 			}
 		}
-		checkFill(t, fmt.Sprintf("d=%d m=%d", d, m), pts, nil, utility.Linear{W: w})
+		label := fmt.Sprintf("d=%d m=%d", d, m)
+		checkFill(t, label, pts, nil, utility.Linear{W: w})
+		// The same row through the float64 last chunk directly: the
+		// partial sum of all but the last four columns, then those four
+		// (cycled when d < 4), in the vector kernel and the scalar one.
+		c := store4Case{acc: make([]float64, m)}
+		last := max(d-4, 0)
+		for j, p := range pts {
+			for i := 0; i < last; i++ {
+				c.acc[j] += w[i] * p[i]
+			}
+		}
+		for l := range c.x {
+			i := last + l%min(d, 4)
+			c.w[l], c.x[l] = w[i], make([]float64, m)
+			for j, p := range pts {
+				c.x[l][j] = p[i]
+			}
+		}
+		checkStore4(t, label+" store4", c, 0, kernel.VectorFill())
 	})
 }
 
@@ -401,17 +421,29 @@ func TestInvalidUtilityErrors(t *testing.T) {
 // BenchmarkFill fills and checks one row per user: N=691 users over
 // m=2405 candidates, the shape of an engine-fresh-seeds coreset pass
 // over the skyline of 10⁵ anticorrelated points, at several d in both
-// storage modes.
+// storage modes. At d=4 the scalar and vector sub-benchmarks run the
+// same float64 rows through each last chunk directly, 256 points at a
+// time as Fill does, so their ratio is the vector kernel's alone.
 func BenchmarkFill(b *testing.B) {
 	const N, m = 691, 2405
 	for _, d := range []int{1, 2, 3, 4, 6, 8} {
 		r := rand.New(rand.NewSource(5))
-		ps := kernel.NewPoints(randPoints(r, m, d), nil)
+		pts := randPoints(r, m, d)
+		ps := kernel.NewPoints(pts, nil)
 		funcs := make([]utility.Func, N)
 		for u := range funcs {
 			funcs[u] = utility.Linear{W: randPositive(r, d)}
 		}
 		b.Run(fmt.Sprintf("d=%d/float64", d), func(b *testing.B) { benchFill(b, ps, funcs, make([]float64, m)) })
+		if d == 4 {
+			b.Run("d=4/float64/scalar", func(b *testing.B) { benchStore4(b, kernel.Store4, pts, funcs) })
+			b.Run("d=4/float64/vector", func(b *testing.B) {
+				if !kernel.VectorFill() {
+					b.Skip("no AVX on this host")
+				}
+				benchStore4(b, kernel.Store4Vector, pts, funcs)
+			})
+		}
 		b.Run(fmt.Sprintf("d=%d/float32", d), func(b *testing.B) { benchFill(b, ps, funcs, make([]float32, m)) })
 	}
 }
@@ -427,6 +459,32 @@ func randPositive(r *rand.Rand, d int) []float64 {
 }
 
 var sinkArgmax int
+
+// benchStore4 runs each user's d=4 float64 row through store, in
+// blocks of 256 points from zero partial sums.
+func benchStore4(b *testing.B, store store4Func, pts [][]float64, funcs []utility.Func) {
+	m := len(pts)
+	var x [4][]float64
+	for i := range x {
+		x[i] = make([]float64, m)
+		for j, p := range pts {
+			x[i][j] = p[i]
+		}
+	}
+	row, zero := make([]float64, m), make([]float64, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range funcs {
+			w := f.(utility.Linear).W
+			for j0 := 0; j0 < m; j0 += len(zero) {
+				j1 := min(j0+len(zero), m)
+				_, a := store(row[j0:j1], zero[:j1-j0], x[0][j0:j1], x[1][j0:j1], x[2][j0:j1], x[3][j0:j1], w[0], w[1], w[2], w[3])
+				sinkArgmax += a
+			}
+		}
+	}
+}
 
 func benchFill[T float32 | float64](b *testing.B, ps *kernel.Points, funcs []utility.Func, row []T) {
 	b.ReportAllocs()

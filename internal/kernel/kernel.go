@@ -1,8 +1,10 @@
 // Package kernel provides the dense utility-matrix storage, the fill
 // that computes every preprocessing utility (Points and Fill, in
 // fill.go: column-major candidates, and a check of each row for invalid
-// values and its best point made as the row is stored), and the scan
-// primitives shared by every solver's inner loop. A Matrix is
+// values and its best point made as the row is stored; on amd64 CPUs
+// with AVX the float64 last chunk of four columns runs four points per
+// instruction, in store4_amd64.s, storing the scalar loop's bits), and
+// the scan primitives shared by every solver's inner loop. A Matrix is
 // the N×n utility table in user-major layout — each user's row is one
 // contiguous block, so the per-candidate scans of GREEDY-SHRINK walk
 // memory linearly — with an opt-in float32 storage mode that halves the

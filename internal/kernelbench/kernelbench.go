@@ -40,9 +40,10 @@ type Row struct {
 	// before and after pruning (Candidates = −1 when Coreset is off).
 	SkylineSize int `json:"skyline_size"`
 	Candidates  int `json:"candidates"`
-	// NsPerOp is the solver (query-phase) wall time of the best run;
-	// PreprocessNs the matching preprocessing time (skyline, sampling,
-	// coreset, matrix build).
+	// NsPerOp is the fastest solver (query-phase) wall time over the
+	// row's runs; PreprocessNs the fastest preprocessing time (skyline,
+	// sampling, coreset, matrix build), taken independently, so it need
+	// not come from the same run.
 	NsPerOp      int64 `json:"ns_per_op"`
 	PreprocessNs int64 `json:"preprocess_ns"`
 	// ARR records the reported quality so baseline diffs also show any
@@ -166,10 +167,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("n=%d algo=%s coreset=%t: %w", v.n, v.algo, v.coreset, err)
 			}
-			if r == 0 || int64(tel.Query) < row.NsPerOp {
-				row.NsPerOp = int64(tel.Query)
-				row.PreprocessNs = int64(tel.Preprocess)
-			}
+			row.observe(r == 0, tel)
 			row.SkylineSize = res.SkylineSize
 			row.Candidates = res.CoresetSize
 			row.ARR = res.Metrics.ARR
@@ -187,6 +185,18 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		fmt.Fprintf(cfg.Log, "host probe: median %v over %d probes\n", time.Duration(rep.ProbeNs), len(probes))
 	}
 	return rep, nil
+}
+
+// observe folds one run's timings into the row: NsPerOp and
+// PreprocessNs each keep their own fastest value, first on the row's
+// first run.
+func (r *Row) observe(first bool, tel *fam.Telemetry) {
+	if first || int64(tel.Query) < r.NsPerOp {
+		r.NsPerOp = int64(tel.Query)
+	}
+	if first || int64(tel.Preprocess) < r.PreprocessNs {
+		r.PreprocessNs = int64(tel.Preprocess)
+	}
 }
 
 // key identifies a row for baseline matching (everything deterministic

@@ -4,6 +4,9 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+	"time"
+
+	fam "github.com/regretlab/fam"
 )
 
 func row(n int, algo string, coreset bool, sky, cand int, ns int64) Row {
@@ -86,6 +89,30 @@ func TestGateHostProbe(t *testing.T) {
 	}
 	if f := Gate(run(20_000_000, 10_000_000), noProbe, 0); len(f) != 0 {
 		t.Fatalf("count-only gate needed a probe: %v", f)
+	}
+}
+
+// A row's two timing columns are each the fastest over its runs: the
+// preprocessing time does not follow the run with the fastest query.
+func TestRowObserveFastestEach(t *testing.T) {
+	runs := []*fam.Telemetry{
+		{Query: 5 * time.Millisecond, Preprocess: 9 * time.Millisecond},
+		{Query: 3 * time.Millisecond, Preprocess: 12 * time.Millisecond},
+		{Query: 4 * time.Millisecond, Preprocess: 7 * time.Millisecond},
+		{Query: 6 * time.Millisecond, Preprocess: 8 * time.Millisecond},
+	}
+	var r Row
+	for i, tel := range runs {
+		r.observe(i == 0, tel)
+	}
+	if r.NsPerOp != int64(3*time.Millisecond) || r.PreprocessNs != int64(7*time.Millisecond) {
+		t.Fatalf("ns_per_op = %v, preprocess_ns = %v; want 3ms and 7ms",
+			time.Duration(r.NsPerOp), time.Duration(r.PreprocessNs))
+	}
+	// A later run never lowers a column below a value it did not reach.
+	r.observe(false, &fam.Telemetry{Query: 10 * time.Millisecond, Preprocess: 10 * time.Millisecond})
+	if r.NsPerOp != int64(3*time.Millisecond) || r.PreprocessNs != int64(7*time.Millisecond) {
+		t.Fatalf("slower run changed the row: %+v", r)
 	}
 }
 

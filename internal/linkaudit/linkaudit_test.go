@@ -157,9 +157,11 @@ func linkedSymbols(t *testing.T, root string) map[string]bool {
 }
 
 // normalize maps a linker symbol to the key of the declaration it came
-// from: type arguments are dropped and a pointer receiver "(*T)" becomes
-// "T", so both receivers of a value method meet one key.
+// from: type arguments are dropped, a pointer receiver "(*T)" becomes
+// "T", so both receivers of a value method meet one key, and an assembly
+// function's ".abi0" suffix goes.
 func normalize(sym string) string {
+	sym = strings.TrimSuffix(sym, ".abi0")
 	var b strings.Builder
 	depth := 0
 	for _, r := range sym {
