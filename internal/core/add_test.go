@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"github.com/regretlab/fam/internal/rng"
@@ -133,4 +136,67 @@ func TestGreedyAddWeighted(t *testing.T) {
 			}
 		}
 	}
+}
+
+// GreedyAddPlain is the unaccelerated reference: every iteration evaluates
+// every remaining candidate, sharded across the worker pool with the
+// serial lowest-index argmax reduction. Used to validate the lazy version.
+func GreedyAddPlain(ctx context.Context, in *Instance, k int) ([]int, error) {
+	if in == nil {
+		return nil, errors.New("core: nil instance")
+	}
+	n, N := in.NumPoints(), in.NumFuncs()
+	if k <= 0 || k > n {
+		return nil, fmt.Errorf("%w: k=%d n=%d", ErrBadK, k, n)
+	}
+	pool := newEvalPool(in, nil)
+	bestVal := make([]float64, N)
+	inSet := make([]bool, n)
+	gains := make([]float64, n)
+	var selected []int
+	for len(selected) < k {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := pool.run(ctx, n, func(w, lo, hi int) {
+			for p := lo; p < hi; p++ {
+				if ctx.Err() != nil {
+					return
+				}
+				if inSet[p] {
+					continue
+				}
+				var g float64
+				for u := 0; u < N; u++ {
+					if in.satD[u] <= 0 {
+						continue
+					}
+					if v := in.Utility(u, p); v > bestVal[u] {
+						g += in.Weight(u) * (v - bestVal[u]) / in.satD[u]
+					}
+				}
+				gains[p] = g
+			}
+		}); err != nil {
+			return nil, err
+		}
+		chosen, chosenGain := -1, -1.0
+		for p := 0; p < n; p++ {
+			if inSet[p] {
+				continue
+			}
+			if gains[p] > chosenGain {
+				chosen, chosenGain = p, gains[p]
+			}
+		}
+		inSet[chosen] = true
+		selected = append(selected, chosen)
+		for u := 0; u < N; u++ {
+			if v := in.Utility(u, chosen); v > bestVal[u] {
+				bestVal[u] = v
+			}
+		}
+	}
+	sort.Ints(selected)
+	return selected, nil
 }

@@ -76,7 +76,12 @@ func deltaShrink(ctx context.Context, in *Instance, k int, rec *Trajectory) ([]i
 	}
 	pairs := make([]pair, 0, N)
 
-	// Initialization: one full scan per user, computed in parallel and
+	// Initialization: with S = D each user's best point is the one
+	// preprocessing found (Section III-D2), the first index of the row
+	// maximum, as twoMax would return it. Only the runner-up, twoMax's
+	// second-best, is scanned: over the full alive list the kernel's
+	// RowMaxExcl reads the whole contiguous row, in the vector unit on
+	// CPUs with AVX. The scans run in parallel and are
 	// accumulated serially in user order. Contributions are scaled by the
 	// user's probability mass so weighted (Appendix A) instances are
 	// optimized exactly.
@@ -89,8 +94,9 @@ func deltaShrink(ctx context.Context, in *Instance, k int, rec *Trajectory) ([]i
 			if in.satD[u] <= 0 {
 				continue
 			}
-			b1, v1, b2, v2 := twoMax(u)
-			pairs[u] = pair{b1: b1, b2: b2, v1: v1, v2: v2}
+			b1 := in.bestD[u]
+			b2, v2 := secondMax(u, b1)
+			pairs[u] = pair{b1: b1, b2: b2, v1: in.satD[u], v2: v2}
 		}
 	}); err != nil {
 		return nil, stats, err

@@ -72,7 +72,10 @@ func lazyShrink(ctx context.Context, in *Instance, k int, rec *Trajectory) ([]in
 	}
 
 	// Initial evaluation of every candidate, sharded across workers; the
-	// heap is built serially from the index-ordered buffer.
+	// heap is built serially from the index-ordered buffer. With S = D
+	// each rescan, and each refresh of the first iteration, passes the
+	// identity list, over which the kernel's RowMaxExcl reads the user's
+	// whole contiguous row, in the vector unit on CPUs with AVX.
 	vals := make([]float64, n)
 	rescanCount := make([]int, pool.workers)
 	if err := pool.run(ctx, n, func(w, lo, hi int) {

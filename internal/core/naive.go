@@ -24,7 +24,10 @@ func naiveShrink(ctx context.Context, in *Instance, k int, rec *Trajectory) ([]i
 
 	// arrWithout computes the unnormalized arr of S−{p} by full scans of
 	// the compacted alive list (same ascending visit order as the
-	// historical full-array scan; accumulation stays in user order).
+	// historical full-array scan; accumulation stays in user order). In
+	// the first iteration the list holds every point, over which the
+	// kernel's RowMaxExcl reads the user's whole contiguous row, in the
+	// vector unit on CPUs with AVX.
 	arrWithout := func(excl int) float64 {
 		var sum float64
 		for u := 0; u < N; u++ {

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/regretlab/fam/internal/kernel"
 	"github.com/regretlab/fam/internal/par"
@@ -81,15 +82,17 @@ func Filter(ctx context.Context, points [][]float64, cand []int, funcs []utility
 		return []int{}, nil
 	}
 
-	// Each worker owns a contiguous user range and a private mark array;
-	// marks are true-only, so the OR-merge across workers is idempotent
-	// and the survivor set is worker-count independent.
+	// Each worker owns a contiguous user range and a private mark bitset
+	// (bit i&63 of word i>>6 marks candidate i); marks are set-only, so
+	// the word-wise OR-merge across workers is idempotent and the
+	// survivor set is worker-count independent.
 	ps := kernel.NewPoints(points, cand)
 	workers := par.Workers(opts.Parallelism, N)
-	marks := make([][]bool, workers)
+	words := (m + 63) / 64
+	marks := make([][]uint64, workers)
 	errs := make([]error, workers)
 	err := opts.Pool.Shards(ctx, workers, N, func(w, lo, hi int) {
-		mark := make([]bool, m)
+		mark := make([]uint64, words)
 		vals := make([]float64, m)
 		for u := lo; u < hi; u++ {
 			if ctx.Err() != nil {
@@ -104,12 +107,7 @@ func Filter(ctx context.Context, points [][]float64, cand []int, funcs []utility
 			if best <= 0 {
 				continue // degenerate user: no point satisfies them
 			}
-			thresh := (1 - opts.Eps) * best
-			for i := range vals {
-				if vals[i] >= thresh {
-					mark[i] = true
-				}
-			}
+			kernel.MarkAtLeast(vals, (1-opts.Eps)*best, mark)
 		}
 		marks[w] = mark
 	})
@@ -125,13 +123,16 @@ func Filter(ctx context.Context, points [][]float64, cand []int, funcs []utility
 		return nil, err
 	}
 
+	merged := make([]uint64, words)
+	for _, mark := range marks {
+		for i, word := range mark {
+			merged[i] |= word
+		}
+	}
 	out := make([]int, 0, m)
-	for i, c := range cand {
-		for w := 0; w < workers; w++ {
-			if marks[w] != nil && marks[w][i] {
-				out = append(out, c)
-				break
-			}
+	for i, word := range merged {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, cand[i<<6|bits.TrailingZeros64(word)])
 		}
 	}
 	return out, nil

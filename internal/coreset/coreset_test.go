@@ -167,3 +167,77 @@ func TestInvalidUtilitySurfaces(t *testing.T) {
 		t.Fatal("negative utility must be rejected")
 	}
 }
+
+// refFilter is the filter written out entry by entry: every candidate
+// some non-degenerate user values at or above (1−eps) of their best.
+func refFilter(points [][]float64, cand []int, funcs []utility.Func, eps float64) []int {
+	keep := make([]bool, len(cand))
+	vals := make([]float64, len(cand))
+	for _, f := range funcs {
+		best := 0.0
+		for i, c := range cand {
+			vals[i] = f.Value(c, points[c])
+			best = max(best, vals[i])
+		}
+		if best <= 0 {
+			continue
+		}
+		thresh := (1 - eps) * best
+		for i, v := range vals {
+			if v >= thresh {
+				keep[i] = true
+			}
+		}
+	}
+	out := []int{}
+	for i, c := range cand {
+		if keep[i] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestFilterMatchesReference compares Filter with refFilter around the
+// 64-candidate word of the survivor bitset and at an engine-sized
+// candidate set, at three tolerances and worker counts, over Linear
+// users and Table users whose rows put entries exactly on the threshold
+// (kept) and one ulp below it (dropped), plus a degenerate user.
+func TestFilterMatchesReference(t *testing.T) {
+	for _, m := range []int{1, 63, 64, 65, 2405} {
+		points, linear := synthetic(m, 4, 24, uint64(m))
+		cand := make([]int, m)
+		for i := range cand {
+			cand[i] = i
+		}
+		for _, eps := range []float64{0, 0.01, 0.5} {
+			funcs := append([]utility.Func(nil), linear...)
+			funcs = append(funcs, utility.Table{U: make([]float64, m)}) // degenerate
+			r := rng.New(uint64(m) + 1)
+			for u := 0; u < 8; u++ {
+				row := make([]float64, m)
+				for i := range row {
+					row[i] = 0.5 * r.Float64()
+				}
+				top := 0.5 + r.Float64()
+				thresh := (1 - eps) * top
+				for k := 0; k < 3; k++ {
+					row[r.IntN(m)] = thresh
+					row[r.IntN(m)] = math.Nextafter(thresh, 0)
+				}
+				row[r.IntN(m)] = top // above every other entry
+				funcs = append(funcs, utility.Table{U: row})
+			}
+			want := refFilter(points, cand, funcs, eps)
+			for _, workers := range []int{1, 2, 4} {
+				got, err := Filter(context.Background(), points, nil, funcs, Options{Eps: eps, Parallelism: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("m=%d eps=%v workers=%d: Filter = %v, want %v", m, eps, workers, got, want)
+				}
+			}
+		}
+	}
+}

@@ -8,5 +8,6 @@ var (
 	Store4Vector = store4Vector
 )
 
-// VectorFill reports whether float64 fills run the vector last chunk.
+// VectorFill reports whether float64 fills and row reductions run the
+// vector kernels.
 func VectorFill() bool { return useVector }

@@ -3,23 +3,29 @@
 // fill.go: column-major candidates, and a check of each row for invalid
 // values and its best point made as the row is stored; on amd64 CPUs
 // with AVX the float64 last chunk of four columns runs four points per
-// instruction, in store4_amd64.s, storing the scalar loop's bits), and
-// the scan primitives shared by every solver's inner loop. A Matrix is
-// the N×n utility table in user-major layout — each user's row is one
-// contiguous block, so the per-candidate scans of GREEDY-SHRINK walk
-// memory linearly — with an opt-in float32 storage mode that halves the
-// resident bytes at the cost of ~7 decimal digits. A Transposed view is
+// instruction, in store4_amd64.s, storing the scalar loop's bits), the
+// scan primitives shared by every solver's inner loop, and the coreset
+// filter's at-least-t marks (MarkAtLeast, rowreduce.go). On the same
+// CPUs the marks, and RowMaxExcl over a list of every column, read the
+// whole contiguous row in the vector unit, in rowreduce_amd64.s, with
+// the scalar scans' results. A Matrix is the N×n utility table in
+// user-major layout — each user's row is one contiguous block, so the
+// per-candidate scans of GREEDY-SHRINK walk memory linearly — with an
+// opt-in float32 storage mode that halves the resident bytes at the
+// cost of ~7 decimal digits. A Transposed view is
 // the point-major copy used by insertion-style solvers (GreedyAdd),
 // whose hot loop reads one point's utility across all users: the
 // transpose turns that strided column access into a contiguous pass.
 //
 // Determinism contract: every scan visits the supplied index list in
 // order with strict comparisons (`v > best`), so the lowest index wins
-// ties exactly like the historical per-element loops they replace. In
-// float32 mode values are converted with float64(float32(v)) at both
-// store and load, so At, Row scans and Transposed columns all observe
-// the identical rounded value — results are bit-deterministic within a
-// storage mode; only across modes do they differ.
+// ties exactly like the historical per-element loops they replace. The
+// vector whole-row reductions may visit a row in any order but return
+// what the ordered scan over every column returns. In float32 mode values are
+// converted with float64(float32(v)) at both store and load, so At, Row
+// scans and Transposed columns all observe the identical rounded value
+// — results are bit-deterministic within a storage mode; only across
+// modes do they differ.
 //
 // Slab reuse contract: Release hands a matrix's backing array of at
 // most spareMaxBytes (16 MiB) to the package, which keeps at most one
@@ -195,8 +201,14 @@ func (m *Matrix) RowMax(u int, idx []int32) (int32, float64) {
 	return bi, bv
 }
 
-// RowMaxExcl is RowMax skipping the single excluded column.
+// RowMaxExcl is RowMax skipping the single excluded column. idx must
+// be ascending and distinct, so one of Points() entries lists every
+// column: a float64 row then runs maxExclVector over the whole
+// contiguous row when useVector is set, with the ordered scan's result.
 func (m *Matrix) RowMaxExcl(u int, idx []int32, excl int32) (int32, float64) {
+	if useVector && m.f64 != nil && len(idx) == m.points {
+		return maxExclVector(m.f64[u*m.points:(u+1)*m.points], excl)
+	}
 	var bi int32 = -1
 	bv := -1.0
 	if m.f32 != nil {

@@ -3,8 +3,9 @@ package kernel
 import "math"
 
 // useVector reports whether a float64 row's last four-column chunk runs
-// store4Vector: the CPU has AVX and the OS saves the YMM registers.
-// It is read once, at package init.
+// store4Vector and the row reductions run maxExclVector and
+// markAtLeastVector: the CPU has AVX and the OS saves the YMM
+// registers. It is read once, at package init.
 var useVector = hasAVX()
 
 // hasAVX checks CPUID leaf 1 for AVX and OSXSAVE, then XCR0 for the

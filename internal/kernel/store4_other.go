@@ -2,7 +2,8 @@
 
 package kernel
 
-// useVector is false off amd64: every chunk runs the scalar loops.
+// useVector is false off amd64: every chunk and row reduction runs the
+// scalar loops.
 const useVector = false
 
 // store4Vector is store4 itself off amd64.

@@ -60,7 +60,6 @@ var allowlist = map[string]string{
 	module + "/internal/geom.Mass":                   "exact 2-d favorite mass",
 	module + "/internal/geom.FavoriteMasses":         "exact 2-d favorite masses",
 	module + "/internal/geom.Envelope.BestAt":        "upper-envelope lookup the geom tests probe",
-	module + "/internal/core.GreedyAddPlain":         "unaccelerated GREEDY-ADD reference",
 	module + "/internal/core.ReduceSetCover":         "Theorem 2 set-cover reduction",
 	module + "/internal/core.HasZeroRegretSelection": "Theorem 2 set-cover reduction",
 	module + "/internal/baseline.KHitExact2D":        "exact 2-d K-HIT reference",
