@@ -56,12 +56,8 @@ func run(args []string, out io.Writer) error {
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
 		workers  = fs.Int("workers", 0, "shared worker-pool size multiplexed across all queries (0 = all CPUs)")
-		prepCap  = fs.Int("prep-cache", 0, "preprocessing cache capacity in entries (0 = default, negative = unbounded)")
-		resCap   = fs.Int("result-cache", 0, "result cache capacity in entries (0 = default, negative = unbounded)")
-		prepMB   = fs.Int64("prep-cache-mb", 0, "preprocessing cache byte budget in MiB (0 = no byte budget)")
-		resMB    = fs.Int64("result-cache-mb", 0, "result cache byte budget in MiB (0 = no byte budget)")
-		prepTTL  = fs.Duration("prep-ttl", 0, "preprocessing cache entry lifetime (0 = never expire)")
-		resTTL   = fs.Duration("result-ttl", 0, "result cache entry lifetime (0 = never expire)")
+		prepMB   = fs.Int64("prep-cache-mb", 0, "preprocessing cache byte budget in MiB (0 = default 1024, negative = unbounded)")
+		resMB    = fs.Int64("result-cache-mb", 0, "byte budget in MiB of the result cache and, separately, the trajectory cache (0 = default 64, negative = unbounded)")
 		uploadMB = fs.Int64("max-upload-mb", 0, "CSV upload size cap in MiB for POST /v1/datasets (0 = default 32, negative = uploads disabled)")
 		batchCap = fs.Int("max-batch", 0, "maximum queries per POST /v2/select batch (0 = default 256)")
 		maxQueue = fs.Int("max-queue", 0, "shed requests (429) arriving while more helper requests than this are queued, unless the request sets its own max_queue (0 = no server-side bound)")
@@ -80,15 +76,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	engine, infos, err := load.BuildEngine(fam.EngineConfig{
-		Workers:          *workers,
-		PrepCacheSize:    *prepCap,
-		ResultCacheSize:  *resCap,
-		PrepCacheBytes:   *prepMB << 20,
-		ResultCacheBytes: *resMB << 20,
-		PrepCacheTTL:     *prepTTL,
-		ResultCacheTTL:   *resTTL,
-	}, *specs, *ces)
+	engine, infos, err := load.BuildEngine(engineConfig(*workers, *prepMB, *resMB), *specs, *ces)
 	if err != nil {
 		return err
 	}
@@ -163,6 +151,13 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	return nil
+}
+
+// engineConfig maps the pool and cache-budget flags, budgets in MiB, onto
+// an EngineConfig: 0 keeps the default budget, a negative one stays
+// negative, unbounded.
+func engineConfig(workers int, prepMB, resMB int64) fam.EngineConfig {
+	return fam.EngineConfig{Workers: workers, PrepCacheBytes: prepMB << 20, ResultCacheBytes: resMB << 20}
 }
 
 // pprofHandler exposes net/http/pprof on an explicit mux — never on

@@ -97,6 +97,28 @@ func TestBuildEngineBadSpec(t *testing.T) {
 	}
 }
 
+// TestEngineConfigFlags: the cache-budget flags are MiB; 0 keeps the
+// default budgets and a negative one leaves its caches unbounded.
+func TestEngineConfigFlags(t *testing.T) {
+	for _, tc := range []struct {
+		prepMB, resMB        int64
+		wantPrep, wantResult int64
+	}{
+		{0, 0, fam.DefaultPrepCacheBytes, fam.DefaultResultCacheBytes},
+		{-1, -1, 0, 0},
+		{2, 3, 2 << 20, 3 << 20},
+	} {
+		e := fam.NewEngine(engineConfig(1, tc.prepMB, tc.resMB))
+		s := e.Stats()
+		e.Close()
+		if s.PoolWorkers != 1 || s.PrepCache.MaxBytes != tc.wantPrep ||
+			s.ResultCache.MaxBytes != tc.wantResult || s.TrajectoryCache.MaxBytes != tc.wantResult {
+			t.Errorf("-prep-cache-mb %d -result-cache-mb %d: workers %d, budgets prep %d, result %d, trajectory %d",
+				tc.prepMB, tc.resMB, s.PoolWorkers, s.PrepCache.MaxBytes, s.ResultCache.MaxBytes, s.TrajectoryCache.MaxBytes)
+		}
+	}
+}
+
 // The -pprof-addr listener serves the standard pprof index and
 // profiles on its explicit mux — and nothing else (the API routes must
 // not leak onto the profiling listener).

@@ -53,7 +53,8 @@ import (
 // (Telemetry.FromTrajectory) with the same Result and Telemetry.Stats a
 // run to K reports. A K above about n/2 neither marks nor records, so a
 // recording makes at most about twice a run's iterations. Trajectories
-// live in their own LRU under the result cache's entry and byte limits.
+// live in their own LRU, bounded by ResultCacheBytes apart from the
+// answers.
 //
 // All methods are safe for concurrent use. Close releases the pool;
 // queries issued after Close return ErrEngineClosed.
@@ -90,43 +91,30 @@ type registration struct {
 }
 
 // EngineConfig configures NewEngine. The zero value is serviceable:
-// GOMAXPROCS pool workers, default cache capacities, no byte budgets,
-// no expiry.
+// GOMAXPROCS pool workers and the default byte budgets.
 type EngineConfig struct {
 	// Workers sizes the shared worker pool every query's shard fan-outs
 	// are multiplexed over (0 = GOMAXPROCS). Individual queries still
 	// bound their own shard width with Exec.Parallelism; the pool bounds
 	// the helper goroutines of the whole process.
 	Workers int
-	// PrepCacheSize bounds the preprocessing cache in entries — each
-	// entry is one skyline index, one sampled function set, one coreset
-	// index, or one built instance (the utility matrix dominates).
-	// 0 = default (256), negative = unbounded.
-	PrepCacheSize int
-	// ResultCacheSize bounds the result cache in entries. 0 = default
-	// (1024), negative = unbounded. The trajectory cache gets the same
-	// bound.
-	ResultCacheSize int
-	// PrepCacheBytes and ResultCacheBytes additionally bound each cache
-	// by estimated resident bytes (0 = no byte budget). Long-running
-	// multi-tenant processes use these to cap memory instead of guessing
-	// an entry count; the least recently used entries are evicted first.
-	// ResultCacheBytes bounds the trajectory cache too, separately.
+	// PrepCacheBytes bounds the preprocessing cache by the resident
+	// bytes of its entries — skyline and coreset indexes, sampled
+	// function sets, and built instances, whose utility matrices
+	// dominate. ResultCacheBytes bounds the result cache by its answers'
+	// estimated bytes, and the trajectory cache, separately, by its
+	// recordings' exact bytes. The least recently used entries are
+	// evicted first. 0 = the default (DefaultPrepCacheBytes,
+	// DefaultResultCacheBytes), negative = unbounded.
 	PrepCacheBytes   int64
 	ResultCacheBytes int64
-	// PrepCacheTTL and ResultCacheTTL expire entries that have lived
-	// longer than the given duration (0 = never expire). Expiry is lazy:
-	// an expired entry is dropped and rebuilt by the next lookup that
-	// touches it.
-	PrepCacheTTL   time.Duration
-	ResultCacheTTL time.Duration
 }
 
-// DefaultPrepCacheSize and DefaultResultCacheSize are the zero-value
-// capacities of EngineConfig.
+// DefaultPrepCacheBytes and DefaultResultCacheBytes are the zero-value
+// byte budgets of EngineConfig.
 const (
-	DefaultPrepCacheSize   = 256
-	DefaultResultCacheSize = 1024
+	DefaultPrepCacheBytes   = 1 << 30
+	DefaultResultCacheBytes = 64 << 20
 )
 
 // ErrUnknownDataset is returned by Engine queries naming an unregistered
@@ -143,38 +131,22 @@ var ErrEngineClosed = errors.New("fam: engine is closed")
 // the serving process shuts down.
 func NewEngine(cfg EngineConfig) *Engine {
 	return &Engine{
-		pool: par.NewPool(cfg.Workers),
-		prep: ecache.NewCacheConfig(ecache.Config{
-			MaxEntries: capacity(cfg.PrepCacheSize, DefaultPrepCacheSize),
-			MaxBytes:   cfg.PrepCacheBytes,
-			TTL:        cfg.PrepCacheTTL,
-			Size:       prepSize,
-		}),
-		results: ecache.NewCacheConfig(ecache.Config{
-			MaxEntries: capacity(cfg.ResultCacheSize, DefaultResultCacheSize),
-			MaxBytes:   cfg.ResultCacheBytes,
-			TTL:        cfg.ResultCacheTTL,
-			Size:       answerSize,
-		}),
-		trajs: ecache.NewCacheConfig(ecache.Config{
-			MaxEntries: capacity(cfg.ResultCacheSize, DefaultResultCacheSize),
-			MaxBytes:   cfg.ResultCacheBytes,
-			Size:       trajectorySize,
-		}),
+		pool:     par.NewPool(cfg.Workers),
+		prep:     ecache.NewCache(budget(cfg.PrepCacheBytes, DefaultPrepCacheBytes), prepSize),
+		results:  ecache.NewCache(budget(cfg.ResultCacheBytes, DefaultResultCacheBytes), answerSize),
+		trajs:    ecache.NewCache(budget(cfg.ResultCacheBytes, DefaultResultCacheBytes), trajectorySize),
 		datasets: make(map[string]*registration),
 		start:    time.Now(),
 	}
 }
 
-func capacity(configured, def int) int {
-	switch {
-	case configured == 0:
+// budget resolves a configured byte budget: 0 takes the default, and a
+// negative budget, unbounded, passes through.
+func budget(configured, def int64) int64 {
+	if configured == 0 {
 		return def
-	case configured < 0:
-		return 0 // unbounded
-	default:
-		return configured
 	}
+	return configured
 }
 
 // Close releases the worker pool. In-flight queries finish (their
@@ -677,8 +649,8 @@ type EngineStats struct {
 	// sampled function sets, coreset indexes, built instances);
 	// ResultCache tracks whole query answers. Coalesced counts the
 	// singleflight savings: queries that waited on an in-flight build
-	// instead of duplicating it. Bytes, MaxBytes, Expired, and TTL report
-	// the eviction-policy knobs of EngineConfig.
+	// instead of duplicating it. Bytes and MaxBytes report the byte
+	// budgets of EngineConfig.
 	PrepCache   CacheStats `json:"prep_cache"`
 	ResultCache CacheStats `json:"result_cache"`
 	// TrajectoryCache tracks recorded GREEDY-SHRINK trajectories (see

@@ -397,12 +397,11 @@ func TestEngineResultIsolation(t *testing.T) {
 	}
 }
 
-// TestEngineCachePolicyKnobs: EngineConfig's TTL and byte-budget options
-// reach the caches and surface in Stats (and therefore in /v1/stats).
+// TestEngineCachePolicyKnobs: EngineConfig's byte budgets reach the
+// caches and surface in Stats (and therefore in /v1/stats).
 func TestEngineCachePolicyKnobs(t *testing.T) {
 	fixtures := engineFixtures(t)
 	e := NewEngine(EngineConfig{
-		ResultCacheTTL:   30 * time.Millisecond,
 		ResultCacheBytes: 1 << 20,
 		PrepCacheBytes:   64 << 20,
 	})
@@ -418,8 +417,8 @@ func TestEngineCachePolicyKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.Stats()
-	if s.ResultCache.TTL != 30*time.Millisecond || s.ResultCache.MaxBytes != 1<<20 {
-		t.Fatalf("result cache policy not surfaced: %+v", s.ResultCache)
+	if s.ResultCache.MaxBytes != 1<<20 || s.TrajectoryCache.MaxBytes != 1<<20 {
+		t.Fatalf("result budget not surfaced: %+v, %+v", s.ResultCache, s.TrajectoryCache)
 	}
 	if s.PrepCache.MaxBytes != 64<<20 {
 		t.Fatalf("prep cache policy not surfaced: %+v", s.PrepCache)
@@ -427,31 +426,52 @@ func TestEngineCachePolicyKnobs(t *testing.T) {
 	if s.ResultCache.Bytes <= 0 {
 		t.Fatalf("result entry has no size estimate: %+v", s.ResultCache)
 	}
+}
 
-	// Warm within the TTL…
-	warm, _, err := e.Select(ctx, q, Exec{})
-	if err != nil {
+// TestEngineDefaultByteBudgets: a zero EngineConfig bounds all three
+// caches by the default budgets, a negative budget leaves a cache
+// unbounded, and a stream of distinct answers never holds more than the
+// result budget.
+func TestEngineDefaultByteBudgets(t *testing.T) {
+	fixtures := engineFixtures(t)
+	e := newTestEngine(t, fixtures)
+	s := e.Stats()
+	if s.PrepCache.MaxBytes != DefaultPrepCacheBytes || s.ResultCache.MaxBytes != DefaultResultCacheBytes ||
+		s.TrajectoryCache.MaxBytes != DefaultResultCacheBytes {
+		t.Fatalf("zero config budgets: prep %d, result %d, trajectory %d",
+			s.PrepCache.MaxBytes, s.ResultCache.MaxBytes, s.TrajectoryCache.MaxBytes)
+	}
+	unbounded := NewEngine(EngineConfig{PrepCacheBytes: -1, ResultCacheBytes: -1})
+	defer unbounded.Close()
+	if s := unbounded.Stats(); s.PrepCache.MaxBytes != 0 || s.ResultCache.MaxBytes != 0 || s.TrajectoryCache.MaxBytes != 0 {
+		t.Fatalf("negative budgets are bounded: %+v", s)
+	}
+
+	ctx := context.Background()
+	q := Query{Dataset: "hotels", K: 3, SampleSize: 40}
+	if _, _, err := e.Select(ctx, q, Exec{}); err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Cached {
-		t.Fatal("within-TTL query missed the cache")
-	}
-	// …expired after it: the answer is recomputed (bit-identically).
-	time.Sleep(80 * time.Millisecond)
-	expired, _, err := e.Select(ctx, q, Exec{})
-	if err != nil {
+	// A budget of three answers' bytes, streamed twelve distinct ones.
+	small := NewEngine(EngineConfig{ResultCacheBytes: 3 * e.Stats().ResultCache.Bytes})
+	defer small.Close()
+	hotels := fixtures[0]
+	if err := small.Register(hotels.name, hotels.ds, hotels.dist); err != nil {
 		t.Fatal(err)
 	}
-	if expired.Cached {
-		t.Fatal("expired entry still served as a hit")
-	}
-	if e.Stats().ResultCache.Expired == 0 {
-		t.Fatal("expiry not counted")
-	}
-	for i := range warm.Indices {
-		if expired.Indices[i] != warm.Indices[i] {
-			t.Fatalf("recomputed answer differs: %v vs %v", expired.Indices, warm.Indices)
+	for seed := range uint64(12) {
+		q.Seed = seed
+		for _, eng := range []*Engine{e, small} {
+			if _, _, err := eng.Select(ctx, q, Exec{}); err != nil {
+				t.Fatal(err)
+			}
+			if rc := eng.Stats().ResultCache; rc.Bytes > rc.MaxBytes {
+				t.Fatalf("seed %d: result cache holds %d of %d bytes", seed, rc.Bytes, rc.MaxBytes)
+			}
 		}
+	}
+	if rc := small.Stats().ResultCache; rc.Evictions == 0 || rc.Entries > 4 {
+		t.Fatalf("the small budget kept %d answers after %d evictions", rc.Entries, rc.Evictions)
 	}
 }
 

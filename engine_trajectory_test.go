@@ -243,10 +243,11 @@ func TestEngineTrajectoryCanceledRecording(t *testing.T) {
 }
 
 // TestEngineTrajectoryBounds: the trajectory LRU takes the result
-// cache's entry cap and byte budget, and sizes entries exactly.
+// cache's byte budget and sizes entries exactly.
 func TestEngineTrajectoryBounds(t *testing.T) {
 	fixtures := engineFixtures(t)
-	e := NewEngine(EngineConfig{ResultCacheSize: 2, ResultCacheBytes: 1 << 20})
+	size := trajectoryBytes(t, newTestEngine(t, fixtures), Query{Dataset: "hotels", K: 3, Seed: 3, SampleSize: 80})
+	e := NewEngine(EngineConfig{ResultCacheBytes: 2 * size})
 	t.Cleanup(e.Close)
 	for _, f := range fixtures {
 		if err := e.Register(f.name, f.ds, f.dist); err != nil {
@@ -262,10 +263,10 @@ func TestEngineTrajectoryBounds(t *testing.T) {
 		}
 	}
 	s := e.Stats().TrajectoryCache
-	if s.Capacity != 2 || s.MaxBytes != 1<<20 || s.Entries != 2 || s.Evictions != 1 {
+	if s.MaxBytes != 2*size || s.Entries != 2 || s.Evictions != 1 {
 		t.Fatalf("trajectory cache %+v, want 2 of 3 trajectories kept", s)
 	}
-	if s.Bytes != 2*trajectoryBytes(t, e, Query{Dataset: "hotels", K: 3, Seed: 3, SampleSize: 80}) {
+	if s.Bytes != 2*size {
 		t.Fatalf("trajectory cache holds %d bytes", s.Bytes)
 	}
 }

@@ -2,10 +2,93 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/regretlab/fam/internal/rng"
+	"github.com/regretlab/fam/internal/utility"
 )
+
+// SetCoverInstance is an instance of the Set Cover decision problem:
+// does a sub-collection of at most K subsets cover the whole universe?
+type SetCoverInstance struct {
+	UniverseSize int     // elements are 0 .. UniverseSize-1
+	Subsets      [][]int // each subset lists the elements it contains
+	K            int
+}
+
+// ReduceSetCover builds the FAM instance of the paper's Theorem 1 proof:
+// one database point per subset, and one utility function per universe
+// element whose utility vector is the indicator of the subsets containing
+// that element (the paper's F_i spaces, taken at c = 1 with uniform mass).
+// The reduction's defining property — the instance admits a size-K
+// selection with average regret ratio 0 if and only if the Set Cover
+// instance is a yes-instance — is what makes FAM NP-hard, and is verified
+// by tests against exhaustive search.
+func ReduceSetCover(sc SetCoverInstance) (*Instance, error) {
+	if sc.UniverseSize <= 0 {
+		return nil, errors.New("core: empty universe")
+	}
+	if len(sc.Subsets) == 0 {
+		return nil, errors.New("core: no subsets")
+	}
+	if sc.K <= 0 {
+		return nil, errors.New("core: K must be positive")
+	}
+	covered := make([]bool, sc.UniverseSize)
+	for si, sub := range sc.Subsets {
+		for _, e := range sub {
+			if e < 0 || e >= sc.UniverseSize {
+				return nil, fmt.Errorf("core: subset %d contains element %d outside universe [0,%d)", si, e, sc.UniverseSize)
+			}
+			covered[e] = true
+		}
+	}
+	for e, ok := range covered {
+		if !ok {
+			// The paper restricts to non-trivial instances where every
+			// element is coverable; otherwise the answer is trivially no.
+			return nil, fmt.Errorf("core: element %d is in no subset (trivial no-instance)", e)
+		}
+	}
+
+	// Point i (one per subset) is the coordinate vector e_i; utility
+	// function for element u is the Table whose entry for subset i is 1
+	// iff u ∈ subset i.
+	n := len(sc.Subsets)
+	points := make([][]float64, n)
+	for i := range points {
+		points[i] = []float64{float64(i)} // coordinates unused by Table
+	}
+	funcs := make([]utility.Func, sc.UniverseSize)
+	for u := 0; u < sc.UniverseSize; u++ {
+		tu := make([]float64, n)
+		for si, sub := range sc.Subsets {
+			for _, e := range sub {
+				if e == u {
+					tu[si] = 1
+					break
+				}
+			}
+		}
+		funcs[u] = utility.Table{U: tu}
+	}
+	return NewInstance(points, funcs, Options{})
+}
+
+// HasZeroRegretSelection answers the decision question on a reduced
+// instance by exact search: is there a size-k selection with arr exactly
+// 0? By Theorem 1's correctness lemma this equals the Set Cover answer.
+// It is exponential in the worst case (the point of the reduction) and is
+// meant for small instances and tests.
+func HasZeroRegretSelection(ctx context.Context, in *Instance, k int) (bool, []int, error) {
+	set, arr, err := BruteForce(ctx, in, k)
+	if err != nil {
+		return false, nil, err
+	}
+	return arr == 0, set, nil
+}
 
 func TestReduceSetCoverValidation(t *testing.T) {
 	if _, err := ReduceSetCover(SetCoverInstance{UniverseSize: 0, Subsets: [][]int{{0}}, K: 1}); err == nil {

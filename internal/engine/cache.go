@@ -1,12 +1,12 @@
-// Package engine holds the serving-side machinery behind fam.Engine: a
-// bounded LRU cache with singleflight fill deduplication, hit/miss/
-// in-flight statistics, and an eviction policy combining an entry cap, a
-// byte budget, and a per-entry TTL. The public fam.Engine composes two of
-// these caches — one for preprocessing artifacts (skyline indexes,
-// sampled utility functions, materialized utility matrices), one for
-// whole query results — over the shared worker pool of internal/par —
-// and a third, behind a doorkeeper (DoAdmitted), for recorded
-// GREEDY-SHRINK trajectories.
+// Package engine holds the serving-side machinery behind fam.Engine: an
+// LRU cache bounded by a byte budget, with singleflight fill
+// deduplication and hit/miss/in-flight statistics. The public
+// fam.Engine composes two of these caches — one for preprocessing
+// artifacts (skyline indexes, sampled utility functions, materialized
+// utility matrices), one for whole query results — over the shared
+// worker pool of internal/par — and a third, behind a doorkeeper
+// (DoAdmitted), for recorded GREEDY-SHRINK trajectories. Memory is the
+// only resource the caches spend, so the byte budget is their one bound.
 package engine
 
 import (
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // CacheStats is a point-in-time snapshot of a cache's counters.
@@ -31,48 +30,26 @@ type CacheStats struct {
 	// singleflight savings.
 	Coalesced uint64 `json:"coalesced"`
 	// Evictions counts entries dropped to keep the cache within its
-	// entry cap or byte budget.
+	// byte budget.
 	Evictions uint64 `json:"evictions"`
-	// Expired counts entries dropped because their TTL elapsed (a lookup
-	// that finds an expired entry counts one Expired and one Miss).
-	Expired uint64 `json:"expired"`
 	// Errors counts fills that failed; failed fills are never stored.
 	Errors uint64 `json:"errors"`
 	// Rejected counts DoAdmitted lookups of a key seen for the first
 	// time: each marked the key as sighted instead of filling. Always 0
 	// for a cache used only through Do.
 	Rejected uint64 `json:"rejected"`
-	// Entries and Capacity describe the current occupancy in stored
-	// values (Capacity 0 = unbounded); DoAdmitted's sighting marks are
-	// kept apart and not counted.
-	Entries  int `json:"entries"`
-	Capacity int `json:"capacity"`
+	// Entries is the number of stored values; DoAdmitted's sighting
+	// marks are kept apart and not counted.
+	Entries int `json:"entries"`
 	// Bytes and MaxBytes describe the current occupancy against the byte
-	// budget (both 0 when the cache is not byte-bounded or has no sizer).
+	// budget (MaxBytes 0 = unbounded; Bytes 0 when the cache has no
+	// sizer).
 	Bytes    int64 `json:"bytes"`
 	MaxBytes int64 `json:"max_bytes"`
-	// TTL is the per-entry lifetime (0 = entries never expire).
-	TTL time.Duration `json:"ttl_ns"`
 }
 
-// Config parameterizes a Cache's bounds and eviction policy. The zero
-// value is an unbounded, never-expiring cache.
-type Config struct {
-	// MaxEntries caps the number of stored entries (0 or negative =
-	// unbounded).
-	MaxEntries int
-	// MaxBytes caps the summed Size of stored entries (0 or negative =
-	// unbounded). It only binds when Size is non-nil.
-	MaxBytes int64
-	// TTL is the per-entry lifetime: a lookup after the entry's fill time
-	// + TTL treats it as absent and re-fills (0 = never expire). Expiry
-	// is lazy — entries are dropped when a lookup or a store touches
-	// them, not by a background sweeper.
-	TTL time.Duration
-	// Size estimates the resident bytes of a value for the MaxBytes
-	// budget. Nil disables byte accounting.
-	Size func(val any) int64
-}
+// maxSightings bounds DoAdmitted's first-sighting marks.
+const maxSightings = 1024
 
 // ErrFillPanic is the error a fill's requester and every coalesced waiter
 // get when the fill panics. The panic is recovered on the fill goroutine,
@@ -108,66 +85,59 @@ func Waiters(ctx context.Context) int {
 	return int(cl.waiters.Load())
 }
 
-// Cache is a bounded LRU keyed by string with singleflight fill
-// deduplication: concurrent Do calls for the same absent key run the
-// fill once and share the outcome. All methods are safe for concurrent
-// use.
+// Cache is an LRU keyed by string, bounded by a byte budget, with
+// singleflight fill deduplication: concurrent Do calls for the same
+// absent key run the fill once and share the outcome. All methods are
+// safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
-	cfg      Config
+	maxBytes int64
+	size     func(val any) int64
 	bytes    int64
 	ll       *list.List               // front = most recently used
 	entries  map[string]*list.Element // value: *entry
 	inflight map[string]*call
 	// seen is DoAdmitted's doorkeeper: keys sighted once and not yet
-	// stored, newest first, at most MaxEntries of them.
+	// stored, newest first, at most maxSightings of them.
 	seen     *list.List
 	seenKeys map[string]*list.Element
 	stats    CacheStats
-	now      func() time.Time // injectable for TTL tests
 }
 
 type entry struct {
-	key     string
-	val     any
-	size    int64
-	expires time.Time // zero = never
+	key  string
+	val  any
+	size int64
 }
 
-// NewCacheConfig returns a cache with the full eviction policy.
-func NewCacheConfig(cfg Config) *Cache {
-	if cfg.MaxEntries < 0 {
-		cfg.MaxEntries = 0 // unbounded
-	}
-	if cfg.MaxBytes < 0 {
-		cfg.MaxBytes = 0 // unbounded
+// NewCache returns a cache that evicts its least recently used values
+// while their summed size exceeds maxBytes (0 or negative = unbounded).
+// size reports the resident bytes of a value; nil counts every value as
+// 0 bytes, so nothing is evicted.
+func NewCache(maxBytes int64, size func(val any) int64) *Cache {
+	if maxBytes < 0 {
+		maxBytes = 0 // unbounded
 	}
 	return &Cache{
-		cfg:      cfg,
+		maxBytes: maxBytes,
+		size:     size,
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]*call),
 		seen:     list.New(),
 		seenKeys: make(map[string]*list.Element),
-		now:      time.Now,
 	}
 }
 
-// lookup returns the live entry for key, dropping it first if expired.
-// Caller holds c.mu.
+// lookup returns the stored entry for key and marks it most recently
+// used. Caller holds c.mu.
 func (c *Cache) lookup(key string) (*entry, bool) {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
-	en := el.Value.(*entry)
-	if !en.expires.IsZero() && c.now().After(en.expires) {
-		c.remove(el)
-		c.stats.Expired++
-		return nil, false
-	}
 	c.ll.MoveToFront(el)
-	return en, true
+	return el.Value.(*entry), true
 }
 
 // Do returns the cached value for key, filling it with fill on a miss.
@@ -213,7 +183,7 @@ func (c *Cache) Do(ctx context.Context, key string, fill func(ctx context.Contex
 // as sighted and returns admitted=false without filling, and the caller
 // computes without the cache. A lookup of a sighted key fills as Do
 // would and reports admitted=true. The marks live in their own set of
-// at most MaxEntries keys, apart from the stored values, so first
+// at most maxSightings keys, apart from the stored values, so first
 // sightings never evict a value; the oldest mark goes first, and a
 // stored value clears its key's mark.
 //
@@ -236,7 +206,7 @@ func (c *Cache) DoAdmitted(ctx context.Context, key string, fill func(ctx contex
 	if _, sighted := c.seenKeys[key]; !sighted {
 		c.stats.Rejected++
 		c.seenKeys[key] = c.seen.PushFront(key)
-		if c.cfg.MaxEntries > 0 && c.seen.Len() > c.cfg.MaxEntries {
+		if c.seen.Len() > maxSightings {
 			delete(c.seenKeys, c.seen.Remove(c.seen.Back()).(string))
 		}
 		c.mu.Unlock()
@@ -302,48 +272,32 @@ func runFill(ctx context.Context, fill func(ctx context.Context) (any, error)) (
 }
 
 // store inserts a value under the lock, clearing its key's sighting
-// mark, and evicts the least recently used entries beyond the entry cap
-// and the byte budget.
+// mark, and evicts the least recently used entries beyond the byte
+// budget. The newest entry is always kept, however large.
 func (c *Cache) store(key string, val any) {
 	if el, ok := c.seenKeys[key]; ok {
 		c.seen.Remove(el)
 		delete(c.seenKeys, key)
 	}
 	var size int64
-	if c.cfg.Size != nil {
-		size = c.cfg.Size(val)
-	}
-	var expires time.Time
-	if c.cfg.TTL > 0 {
-		expires = c.now().Add(c.cfg.TTL)
+	if c.size != nil {
+		size = c.size(val)
 	}
 	if el, ok := c.entries[key]; ok {
 		en := el.Value.(*entry)
 		c.bytes += size - en.size
-		en.val, en.size, en.expires = val, size, expires
+		en.val, en.size = val, size
 		c.ll.MoveToFront(el)
 	} else {
-		c.entries[key] = c.ll.PushFront(&entry{key: key, val: val, size: size, expires: expires})
+		c.entries[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
 		c.bytes += size
 	}
-	over := func() bool {
-		if c.cfg.MaxEntries > 0 && c.ll.Len() > c.cfg.MaxEntries {
-			return true
-		}
-		return c.cfg.MaxBytes > 0 && c.cfg.Size != nil && c.bytes > c.cfg.MaxBytes && c.ll.Len() > 1
-	}
-	for over() {
-		c.remove(c.ll.Back())
+	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.ll.Len() > 1 {
+		en := c.ll.Remove(c.ll.Back()).(*entry)
+		delete(c.entries, en.key)
+		c.bytes -= en.size
 		c.stats.Evictions++
 	}
-}
-
-// remove drops one element. Caller holds c.mu.
-func (c *Cache) remove(el *list.Element) {
-	en := el.Value.(*entry)
-	c.ll.Remove(el)
-	delete(c.entries, en.key)
-	c.bytes -= en.size
 }
 
 // Get returns the cached value without filling, sighting or disturbing
@@ -372,17 +326,7 @@ func (c *Cache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Entries = c.ll.Len()
-	s.Capacity = c.cfg.MaxEntries
 	s.Bytes = c.bytes
-	s.MaxBytes = c.cfg.MaxBytes
-	s.TTL = c.cfg.TTL
+	s.MaxBytes = c.maxBytes
 	return s
-}
-
-// SetNow overrides the cache's clock; tests use it to drive TTL expiry
-// deterministically.
-func (c *Cache) SetNow(now func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = now
 }

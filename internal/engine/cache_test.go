@@ -10,8 +10,12 @@ import (
 	"time"
 )
 
+// unit sizes every value at one byte, so a byte budget of n holds n
+// values.
+func unit(any) int64 { return 1 }
+
 func TestCacheHitMissLRU(t *testing.T) {
-	c := NewCacheConfig(Config{MaxEntries: 2})
+	c := NewCache(2, unit)
 	ctx := context.Background()
 	fill := func(v string) func(context.Context) (any, error) {
 		return func(context.Context) (any, error) { return v, nil }
@@ -43,7 +47,7 @@ func TestCacheHitMissLRU(t *testing.T) {
 		t.Fatal("a should have survived eviction")
 	}
 	s := c.Stats()
-	if s.Evictions != 1 || s.Entries != 2 || s.Capacity != 2 {
+	if s.Evictions != 1 || s.Entries != 2 || s.Bytes != 2 || s.MaxBytes != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -53,7 +57,7 @@ func TestCacheHitMissLRU(t *testing.T) {
 // fill blocks until all callers have arrived, so the coalesced count is
 // deterministic.
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCacheConfig(Config{})
+	c := NewCache(0, nil)
 	const callers = 8
 	var fills atomic.Int64
 	arrived := make(chan struct{})
@@ -102,7 +106,7 @@ func TestCacheSingleflight(t *testing.T) {
 // TestCacheErrorNotStored: a failed fill must not poison the cache; the
 // next Do retries.
 func TestCacheErrorNotStored(t *testing.T) {
-	c := NewCacheConfig(Config{})
+	c := NewCache(0, nil)
 	ctx := context.Background()
 	boom := errors.New("boom")
 	if _, _, err := c.Do(ctx, "k", func(context.Context) (any, error) { return nil, boom }); !errors.Is(err, boom) {
@@ -123,7 +127,7 @@ func TestCacheErrorNotStored(t *testing.T) {
 // ErrFillPanic (and the panic value, when it is an error), nothing is
 // stored, and the next Do on the key refills and stores.
 func TestCacheFillPanicContained(t *testing.T) {
-	c := NewCacheConfig(Config{})
+	c := NewCache(0, nil)
 	ctx := context.Background()
 	boom := errors.New("boom")
 	const callers = 3
@@ -176,7 +180,7 @@ func TestCacheFillPanicContained(t *testing.T) {
 // gets its context error, but the detached fill still completes and is
 // stored for the next arrival.
 func TestCacheCanceledWaiterFillSurvives(t *testing.T) {
-	c := NewCacheConfig(Config{})
+	c := NewCache(0, nil)
 	release := make(chan struct{})
 	ctx, cancel := context.WithCancel(context.Background())
 
@@ -217,7 +221,7 @@ func TestCacheCanceledWaiterFillSurvives(t *testing.T) {
 // TestCacheConcurrentDistinctKeys: hammer the cache with overlapping keys
 // under -race.
 func TestCacheConcurrentDistinctKeys(t *testing.T) {
-	c := NewCacheConfig(Config{MaxEntries: 16})
+	c := NewCache(16, unit)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -242,53 +246,11 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCacheTTLExpiry: entries older than the TTL are treated as absent
-// — dropped on touch, counted as Expired, and re-filled.
-func TestCacheTTLExpiry(t *testing.T) {
-	c := NewCacheConfig(Config{TTL: time.Minute})
-	now := time.Unix(1000, 0)
-	c.SetNow(func() time.Time { return now })
-	ctx := context.Background()
-
-	fills := 0
-	fill := func(context.Context) (any, error) { fills++; return fills, nil }
-
-	if v, hit, _ := c.Do(ctx, "k", fill); hit || v.(int) != 1 {
-		t.Fatalf("first Do = (%v, %v)", v, hit)
-	}
-	// Within the TTL: a hit.
-	now = now.Add(30 * time.Second)
-	if v, hit, _ := c.Do(ctx, "k", fill); !hit || v.(int) != 1 {
-		t.Fatalf("warm Do = (%v, %v)", v, hit)
-	}
-	// Past the TTL: the entry expires and the fill re-runs.
-	now = now.Add(2 * time.Minute)
-	if v, hit, _ := c.Do(ctx, "k", fill); hit || v.(int) != 2 {
-		t.Fatalf("expired Do = (%v, %v)", v, hit)
-	}
-	s := c.Stats()
-	if s.Expired != 1 || s.Misses != 2 || s.Hits != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.TTL != time.Minute {
-		t.Fatalf("stats TTL = %v", s.TTL)
-	}
-
-	// Get honors expiry too.
-	now = now.Add(2 * time.Minute)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("Get returned an expired entry")
-	}
-}
-
 // TestCacheByteBudget: the byte budget evicts LRU entries by Size, and
 // a single oversized entry is kept (dropping it would refill forever)
 // while everything else yields.
 func TestCacheByteBudget(t *testing.T) {
-	c := NewCacheConfig(Config{
-		MaxBytes: 100,
-		Size:     func(v any) int64 { return v.(int64) },
-	})
+	c := NewCache(100, func(v any) int64 { return v.(int64) })
 	ctx := context.Background()
 	put := func(key string, size int64) {
 		t.Helper()
@@ -320,29 +282,10 @@ func TestCacheByteBudget(t *testing.T) {
 	}
 }
 
-// TestCacheEntryAndByteBoundsCompose: both bounds apply; whichever
-// binds first evicts.
-func TestCacheEntryAndByteBoundsCompose(t *testing.T) {
-	c := NewCacheConfig(Config{
-		MaxEntries: 2,
-		MaxBytes:   1000,
-		Size:       func(any) int64 { return 10 },
-	})
-	ctx := context.Background()
-	for _, k := range []string{"a", "b", "c"} {
-		if _, _, err := c.Do(ctx, k, func(context.Context) (any, error) { return 0, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := c.Stats(); s.Entries != 2 || s.Evictions != 1 || s.Bytes != 20 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
 // TestDoAdmittedDoorkeeper: a key's first sighting marks it and fills
 // nothing; the second fills and stores; the third hits.
 func TestDoAdmittedDoorkeeper(t *testing.T) {
-	c := NewCacheConfig(Config{MaxEntries: 4, MaxBytes: 100, Size: func(v any) int64 { return int64(len(v.(string))) }})
+	c := NewCache(100, func(v any) int64 { return int64(len(v.(string))) })
 	ctx := context.Background()
 	var fills int
 	fill := func(context.Context) (any, error) { fills++; return "value", nil }
@@ -379,12 +322,11 @@ func TestDoAdmittedDoorkeeper(t *testing.T) {
 }
 
 // TestDoAdmittedMarksNeverEvictValues: the sighting marks are kept apart
-// from the stored values, so more first sightings than the entry cap
+// from the stored values, so more first sightings than maxSightings
 // leave a stored value in place, and the oldest mark is the one
 // forgotten.
 func TestDoAdmittedMarksNeverEvictValues(t *testing.T) {
-	const capacity = 3
-	c := NewCacheConfig(Config{MaxEntries: capacity})
+	c := NewCache(0, nil)
 	ctx := context.Background()
 	fill := func(context.Context) (any, error) { return "value", nil }
 	for range 2 {
@@ -392,7 +334,7 @@ func TestDoAdmittedMarksNeverEvictValues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := range capacity + 1 {
+	for i := range maxSightings + 1 {
 		if _, _, admitted, err := c.DoAdmitted(ctx, fmt.Sprint("once", i), fill); admitted || err != nil {
 			t.Fatalf("first sighting %d = (admitted %v, %v)", i, admitted, err)
 		}
@@ -400,15 +342,15 @@ func TestDoAdmittedMarksNeverEvictValues(t *testing.T) {
 	if v, ok := c.Get("stored"); !ok || v != "value" {
 		t.Fatalf("stored value lost to first sightings: (%v, %v)", v, ok)
 	}
-	if s := c.Stats(); s.Entries != 1 || s.Evictions != 0 || s.Rejected != capacity+2 {
+	if s := c.Stats(); s.Entries != 1 || s.Evictions != 0 || s.Rejected != maxSightings+2 {
 		t.Fatalf("stats = %+v", s)
 	}
-	// The newest marks survive; the oldest was dropped beyond the cap.
-	if _, _, admitted, _ := c.DoAdmitted(ctx, fmt.Sprint("once", capacity), fill); !admitted {
+	// The newest marks survive; the oldest was dropped beyond maxSightings.
+	if _, _, admitted, _ := c.DoAdmitted(ctx, fmt.Sprint("once", maxSightings), fill); !admitted {
 		t.Fatal("the newest mark was forgotten")
 	}
 	if _, _, admitted, _ := c.DoAdmitted(ctx, "once0", fill); admitted {
-		t.Fatal("the oldest mark outlived the cap")
+		t.Fatal("the oldest mark outlived maxSightings")
 	}
 }
 
@@ -416,7 +358,7 @@ func TestDoAdmittedMarksNeverEvictValues(t *testing.T) {
 // context; a canceled fill stores nothing and keeps the mark, so the
 // next lookup fills again.
 func TestDoAdmittedCanceledFill(t *testing.T) {
-	c := NewCacheConfig(Config{})
+	c := NewCache(0, nil)
 	bg := context.Background()
 	if _, _, _, err := c.DoAdmitted(bg, "k", nil); err != nil {
 		t.Fatal(err)
@@ -441,7 +383,7 @@ func TestDoAdmittedCanceledFill(t *testing.T) {
 // TestDoAdmittedCoalesces: arrivals during an admitted fill wait for it
 // instead of filling again.
 func TestDoAdmittedCoalesces(t *testing.T) {
-	c := NewCacheConfig(Config{})
+	c := NewCache(0, nil)
 	ctx := context.Background()
 	if _, _, _, err := c.DoAdmitted(ctx, "k", nil); err != nil {
 		t.Fatal(err)

@@ -55,17 +55,14 @@ var allowlist = map[string]string{
 	module + "/internal/obs.Node.shape":            "reached through fam.TraceSpan.Shape",
 
 	// Exact references and oracles the tests compare production code against.
-	module + "/internal/skyline.ComputeBNL":          "block-nested-loop skyline reference",
-	module + "/internal/geom.ExactMaxRegretRatio":    "exact 2-d maximum regret ratio",
-	module + "/internal/geom.Mass":                   "exact 2-d favorite mass",
-	module + "/internal/geom.FavoriteMasses":         "exact 2-d favorite masses",
-	module + "/internal/geom.Envelope.BestAt":        "upper-envelope lookup the geom tests probe",
-	module + "/internal/core.ReduceSetCover":         "Theorem 2 set-cover reduction",
-	module + "/internal/core.HasZeroRegretSelection": "Theorem 2 set-cover reduction",
-	module + "/internal/baseline.KHitExact2D":        "exact 2-d K-HIT reference",
-	module + "/internal/baseline.MaxRegretRatioLP":   "exact LP maximum regret ratio",
-	module + "/internal/baseline.DominanceCoverage":  "exact SKY-DOM objective",
-	module + "/internal/gmm.Model.LogDensity":        "mixture density the fit tests check",
+	module + "/internal/geom.ExactMaxRegretRatio":   "exact 2-d maximum regret ratio",
+	module + "/internal/geom.Mass":                  "exact 2-d favorite mass",
+	module + "/internal/geom.FavoriteMasses":        "exact 2-d favorite masses",
+	module + "/internal/geom.Envelope.BestAt":       "upper-envelope lookup the geom tests probe",
+	module + "/internal/baseline.KHitExact2D":       "exact 2-d K-HIT reference",
+	module + "/internal/baseline.MaxRegretRatioLP":  "exact LP maximum regret ratio",
+	module + "/internal/baseline.DominanceCoverage": "exact SKY-DOM objective",
+	module + "/internal/gmm.Model.LogDensity":       "mixture density the fit tests check",
 
 	// Paper bounds kept for the error-bars and certificate work.
 	module + "/internal/sampling.Eps":          "Theorem 4 error bound",
@@ -82,7 +79,6 @@ var allowlist = map[string]string{
 	module + "/internal/kernel.Matrix.Users":           "kernel test accessor",
 	module + "/internal/kernel.Matrix.Points":          "kernel test accessor",
 	module + "/internal/kernel.Matrix.Float32":         "kernel test accessor",
-	module + "/internal/engine.Cache.SetNow":           "TTL test clock",
 	module + "/internal/experiments.IDs":               "experiment registry test",
 	module + "/internal/experiments.Run":               "experiment benchmarks",
 }

@@ -4,9 +4,9 @@
 // point is a skyline point), and the SKY-DOM baseline operates directly on
 // skyline points and their dominance sets.
 //
-// Two algorithms are provided: a block-nested-loop scan (ComputeBNL, the
-// quadratic reference implementation) and a sort-filter-skyline scan
-// (Compute, ComputeOpts). SFS sorts the points so that every dominator
+// The skyline is computed by a sort-filter-skyline scan (Compute,
+// ComputeOpts); the tests check it against a quadratic block-nested-loop
+// reference. SFS sorts the points so that every dominator
 // precedes the points it dominates, then keeps a point iff no point of
 // the window — the skyline found so far — dominates it:
 //
@@ -125,8 +125,8 @@ type sortKey struct {
 // blocks; then the survivors are resolved against each other serially in
 // sorted order and appended. Dominance is a pure transitive predicate, so
 // the result — a set, returned in increasing index order — is identical
-// to ComputeBNL at any worker count. A nil context is treated as
-// background.
+// to the block-nested-loop skyline at any worker count. A nil context is
+// treated as background.
 func ComputeOpts(ctx context.Context, points [][]float64, opts ComputeOptions) ([]int, error) {
 	return computeOpts(ctx, points, opts, nil)
 }
@@ -691,29 +691,6 @@ func pivotMask(q, piv []float64) int {
 		}
 	}
 	return m
-}
-
-// ComputeBNL returns the skyline via the block-nested-loop reference
-// algorithm. It is used to cross-check Compute in tests and kept exported
-// for the ablation benches.
-func ComputeBNL(points [][]float64) ([]int, error) {
-	if _, err := point.Validate(points); err != nil {
-		return nil, err
-	}
-	var out []int
-	for i, p := range points {
-		dominated := false
-		for j, q := range points {
-			if i != j && point.Dominates(q, p) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out, nil
 }
 
 // DominanceSets returns, for each of the given candidate indices, the set

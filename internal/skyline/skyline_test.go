@@ -9,6 +9,28 @@ import (
 	"github.com/regretlab/fam/internal/rng"
 )
 
+// ComputeBNL returns the skyline via the block-nested-loop reference
+// algorithm, the oracle the tests check Compute and ComputeOpts against.
+func ComputeBNL(points [][]float64) ([]int, error) {
+	if _, err := point.Validate(points); err != nil {
+		return nil, err
+	}
+	var out []int
+	for i, p := range points {
+		dominated := false
+		for j, q := range points {
+			if i != j && point.Dominates(q, p) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			out = append(out, i)
+		}
+	}
+	return out, nil
+}
+
 func TestComputeSimple(t *testing.T) {
 	pts := [][]float64{
 		{1, 0},     // skyline

@@ -42,7 +42,8 @@ type normalized struct {
 // DefaultCoresetEps is the kernel tolerance used when a query enables
 // Coreset without setting CoresetEps: candidates within 5% of some
 // user's best utility survive the prepass — in practice a few hundred
-// survivors out of 10⁶ points, at a worst-case ARR cost of the same 5%.
+// survivors out of 10⁶ points. The ARR the pruning costs has no bound
+// (see Query.Coreset).
 const DefaultCoresetEps = 0.05
 
 // resolveCoresetEps validates and defaults the coreset tolerance:

@@ -58,7 +58,11 @@ type Query struct {
 	// runs, shrinking the candidate set by orders of magnitude on large
 	// instances. Every user's argmax survives, so the reported metrics
 	// remain database-level quantities; what pruning can cost is
-	// solution quality, bounded by CoresetEps (the ε-kernel guarantee).
+	// solution quality, with no bound: the filter is a heuristic. It
+	// drops a point every user rates just below (1−CoresetEps) of their
+	// best, even when that point is the optimum — with points (1,0),
+	// (0,1) and (0.9,0.9), users (1,0) and (0,1) equally likely, K=1 and
+	// CoresetEps 0.05, the ARR is 0.10 unpruned and 0.50 pruned.
 	// It changes answers, so it is a Query knob with its own Fingerprint
 	// component. Selection queries only.
 	Coreset bool

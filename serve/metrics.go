@@ -35,7 +35,6 @@ var BuildVersion = "dev"
 //	fam_cache_misses_total             (cache)  counter
 //	fam_cache_coalesced_total          (cache)  counter
 //	fam_cache_evictions_total          (cache)  counter
-//	fam_cache_expired_total            (cache)  counter
 //	fam_cache_errors_total             (cache)  counter
 //	fam_cache_entries                  (cache)  gauge
 //	fam_cache_bytes                    (cache)  gauge
@@ -111,7 +110,6 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out.Family("fam_cache_misses_total", "counter", "Cache misses, by cache.")
 	out.Family("fam_cache_coalesced_total", "counter", "Lookups that joined an in-flight build instead of duplicating it, by cache.")
 	out.Family("fam_cache_evictions_total", "counter", "Entries evicted by the size policy, by cache.")
-	out.Family("fam_cache_expired_total", "counter", "Entries dropped by TTL expiry, by cache.")
 	out.Family("fam_cache_errors_total", "counter", "Failed fills (not cached), by cache.")
 	out.Family("fam_cache_rejected_total", "counter", "First sightings a doorkeeper marked instead of filling, by cache.")
 	out.Family("fam_cache_entries", "gauge", "Live cache entries, by cache.")
@@ -126,7 +124,6 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		out.Sample("fam_cache_misses_total", ls, float64(c.s.Misses))
 		out.Sample("fam_cache_coalesced_total", ls, float64(c.s.Coalesced))
 		out.Sample("fam_cache_evictions_total", ls, float64(c.s.Evictions))
-		out.Sample("fam_cache_expired_total", ls, float64(c.s.Expired))
 		out.Sample("fam_cache_errors_total", ls, float64(c.s.Errors))
 		out.Sample("fam_cache_rejected_total", ls, float64(c.s.Rejected))
 		out.Sample("fam_cache_entries", ls, float64(c.s.Entries))

@@ -56,7 +56,7 @@ func TestMetricsEndpointCold(t *testing.T) {
 	for _, cache := range []string{"prep", "result"} {
 		for _, series := range []string{
 			"fam_cache_hits_total", "fam_cache_misses_total", "fam_cache_coalesced_total",
-			"fam_cache_evictions_total", "fam_cache_expired_total", "fam_cache_errors_total",
+			"fam_cache_evictions_total", "fam_cache_errors_total",
 			"fam_cache_entries", "fam_cache_bytes", "fam_cache_max_bytes",
 		} {
 			key := fmt.Sprintf(`%s{cache="%s"}`, series, cache)
