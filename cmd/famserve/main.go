@@ -45,13 +45,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "famserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// run serves until a signal stops it. Logs go to out; -h, -help and
+// --help print every flag with its default to errOut and return nil.
+func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("famserve", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
@@ -71,8 +73,14 @@ func run(args []string, out io.Writer) error {
 		grace    = fs.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown window for in-flight requests")
 		logger   = slog.New(slog.NewJSONHandler(out, nil))
 	)
-	fs.SetOutput(io.Discard)
-	if err := fs.Parse(args); err != nil {
+	fs.SetOutput(io.Discard) // main prints a parse error once
+	err := fs.Parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(errOut)
+		fs.Usage()
+		return nil
+	}
+	if err != nil {
 		return err
 	}
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -142,5 +143,34 @@ func TestPprofHandler(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("API route on the pprof listener answered %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestHelpFlag: -h prints every flag, with the defaults that are not
+// zero, and returns nil, so famserve exits 0; an unknown flag still
+// fails.
+func TestHelpFlag(t *testing.T) {
+	for _, arg := range []string{"-h", "-help", "--help"} {
+		var out, errOut bytes.Buffer
+		if err := run([]string{arg}, &out, &errOut); err != nil {
+			t.Fatalf("%s: %v", arg, err)
+		}
+		help := errOut.String()
+		for _, want := range []string{
+			"-addr", `(default ":8080")`, "-workers", "-prep-cache-mb", "default 1024", "-result-cache-mb", "default 64",
+			"-max-upload-mb", "-max-batch", "-max-queue", "-datasets", `(default "hotels:200")`, "-ces", "-trace ",
+			"-trace-log", "-trace-sample", "-slow-query-ms", "-pprof-addr", "-shutdown-grace", "(default 10s)",
+		} {
+			if !strings.Contains(help, want) {
+				t.Errorf("%s: help lacks %q:\n%s", arg, want, help)
+			}
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: wrote %q to standard output", arg, out.String())
+		}
+	}
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-no-such-flag"}, &out, &errOut); err == nil || !strings.Contains(err.Error(), "no-such-flag") {
+		t.Fatalf("an unknown flag returned %v, want an error naming it", err)
 	}
 }

@@ -9,9 +9,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/regretlab/fam/internal/core"
 	ecache "github.com/regretlab/fam/internal/engine"
+	"github.com/regretlab/fam/internal/kernel"
 	"github.com/regretlab/fam/internal/obs"
 	"github.com/regretlab/fam/internal/par"
 	"github.com/regretlab/fam/internal/sched"
@@ -59,7 +61,10 @@ import (
 // All methods are safe for concurrent use. Close releases the pool;
 // queries issued after Close return ErrEngineClosed.
 type Engine struct {
-	pool    *par.Pool
+	pool *par.Pool
+	// slot holds the utility-matrix array of the last instance released
+	// (see hold), for the next instance build to fill.
+	slot    *kernel.Slot
 	prep    *ecache.Cache
 	results *ecache.Cache
 	trajs   *ecache.Cache // recorded GREEDY-SHRINK runs, behind a doorkeeper
@@ -106,6 +111,11 @@ type EngineConfig struct {
 	// recordings' exact bytes. The least recently used entries are
 	// evicted first. 0 = the default (DefaultPrepCacheBytes,
 	// DefaultResultCacheBytes), negative = unbounded.
+	//
+	// An evicted instance's utility matrix, once no request still reads
+	// it, waits in the Engine's slot for the next instance build to
+	// reuse: one array per storage mode (float64, float32), each of at
+	// most 16 MiB, so up to 16 MiB per mode stay outside the budget.
 	PrepCacheBytes   int64
 	ResultCacheBytes int64
 }
@@ -132,9 +142,10 @@ var ErrEngineClosed = errors.New("fam: engine is closed")
 func NewEngine(cfg EngineConfig) *Engine {
 	return &Engine{
 		pool:     par.NewPool(cfg.Workers),
-		prep:     ecache.NewCache(budget(cfg.PrepCacheBytes, DefaultPrepCacheBytes), prepSize),
-		results:  ecache.NewCache(budget(cfg.ResultCacheBytes, DefaultResultCacheBytes), answerSize),
-		trajs:    ecache.NewCache(budget(cfg.ResultCacheBytes, DefaultResultCacheBytes), trajectorySize),
+		slot:     kernel.NewSlot(),
+		prep:     ecache.NewCache(budget(cfg.PrepCacheBytes, DefaultPrepCacheBytes), prepSize, dropPrep),
+		results:  ecache.NewCache(budget(cfg.ResultCacheBytes, DefaultResultCacheBytes), answerSize, nil),
+		trajs:    ecache.NewCache(budget(cfg.ResultCacheBytes, DefaultResultCacheBytes), trajectorySize, nil),
 		datasets: make(map[string]*registration),
 		start:    time.Now(),
 	}
@@ -302,6 +313,9 @@ func (e *Engine) Select(ctx context.Context, q Query, exec Exec) (*Result, *Tele
 		if err != nil {
 			return nil, err
 		}
+		// Deferred: solve's fan-outs join before it returns or re-raises
+		// a panic, so the hold outlasts every read.
+		defer prep.done()
 		preprocess := time.Since(prepStart)
 		res, tel, err := solve(fillCtx, reg.ds, reg.dist, prep, q, exec.withPool(e.pool), e.shrink)
 		if err != nil {
@@ -441,6 +455,7 @@ func (e *Engine) evaluate(ctx context.Context, q Query, exec Exec) (Metrics, *re
 	if err != nil {
 		return Metrics{}, nil, nil, err
 	}
+	defer prep.done()
 	tel := &Telemetry{Preprocess: time.Since(prepStart)}
 	_, evalSpan := obs.Start(ctx, "evaluate")
 	queryStart := time.Now()
@@ -461,7 +476,20 @@ func (e *Engine) evaluate(ctx context.Context, q Query, exec Exec) (Metrics, *re
 // whatever the requester's Exec — the first requester's knob must not
 // throttle a build every coalesced and future query shares; output is
 // bit-identical at any width, and bind applies the per-query settings.
+// An instance comes back held for the request (see hold): one released
+// since the lookup found it is looked up again, and so rebuilt.
 func (e *Engine) artifact(ctx context.Context, s stage, _ Exec) (any, error) {
+	for {
+		v, err := e.cached(ctx, s)
+		if p, ok := v.(*prepared); !ok || p.hold.pin() {
+			return v, err
+		}
+	}
+}
+
+// cached returns the prep cache's value for s, building it on a miss.
+// A built instance starts with the cache's hold.
+func (e *Engine) cached(ctx context.Context, s stage) (any, error) {
 	v, _, err := e.prep.Do(ctx, s.key, func(fillCtx context.Context) (any, error) {
 		if s.neutral {
 			// A dataset-wide artifact is not one request's work, so its
@@ -477,9 +505,12 @@ func (e *Engine) artifact(ctx context.Context, s stage, _ Exec) (any, error) {
 				return nil, err
 			}
 		}
-		v, err := s.build(fillCtx, Exec{pool: e.pool}, dep)
+		v, err := s.build(fillCtx, Exec{pool: e.pool, slot: e.slot}, dep)
 		if err != nil {
 			return nil, err
+		}
+		if p, ok := v.(*prepared); ok {
+			p.hold = newHold(p.in)
 		}
 		if s.fillAttrs {
 			s.attrs(fill, v)
@@ -488,6 +519,54 @@ func (e *Engine) artifact(ctx context.Context, s stage, _ Exec) (any, error) {
 		return v, nil
 	})
 	return v, err
+}
+
+// hold counts the holders of an Engine-built instance: the prep cache
+// while it stores the instance, and each request from prepare until its
+// last read. The holder that drops the count to zero releases the
+// instance's utility matrix to the Engine's slot, where the next
+// instance build reuses the array instead of allocating and zeroing a
+// new one. A count at zero stays there: pin refuses it, so no request
+// reads an array another build may be writing.
+type hold struct {
+	in *core.Instance
+	n  atomic.Int32
+}
+
+// newHold returns in's hold, held by the prep cache.
+func newHold(in *core.Instance) *hold {
+	h := &hold{in: in}
+	h.n.Store(1)
+	return h
+}
+
+// pin adds a request's hold, or reports false when the instance is
+// already released.
+func (h *hold) pin() bool {
+	for {
+		n := h.n.Load()
+		if n == 0 {
+			return false
+		}
+		if h.n.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// drop removes one hold, releasing the matrix with the last.
+func (h *hold) drop() {
+	if h.n.Add(-1) == 0 {
+		h.in.Release()
+	}
+}
+
+// dropPrep is the prep cache's dropped callback: an instance the cache
+// no longer stores loses the cache's hold.
+func dropPrep(v any) {
+	if p, ok := v.(*prepared); ok {
+		p.hold.drop()
+	}
 }
 
 // bind returns a zero-copy clone of the cached instance carrying the
@@ -552,14 +631,20 @@ func copyResult(r *Result) *Result {
 	return &cp
 }
 
+// entryBytes is what the result cache spends on an entry besides its
+// answer: the res|<fingerprint> key string (about 80 bytes), the LRU
+// list element and entry (48 bytes each), and the key's map slot.
+const entryBytes = 256
+
 // answerSize estimates the resident bytes of one result-cache entry for
-// the byte-budget eviction policy.
+// the byte-budget eviction policy: the answer, its Result and Telemetry,
+// the Result's slices and labels, and entryBytes.
 func answerSize(v any) int64 {
 	a, ok := v.(*answer)
 	if !ok {
 		return 0
 	}
-	size := int64(256) // struct headers and scalars
+	size := int64(unsafe.Sizeof(*a)+unsafe.Sizeof(*a.res)+unsafe.Sizeof(*a.tel)) + entryBytes
 	size += int64(len(a.res.Indices)) * 8
 	for _, l := range a.res.Labels {
 		size += int64(len(l)) + 16

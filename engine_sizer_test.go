@@ -2,6 +2,7 @@ package fam
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"github.com/regretlab/fam/internal/core"
@@ -70,5 +71,51 @@ func TestPrepSizeExact(t *testing.T) {
 	s := e.Stats()
 	if s.PrepCache.Bytes == 0 {
 		t.Fatal("prep cache reports zero bytes after a cold select")
+	}
+}
+
+// TestAnswerSizeTracksHeap stores 1 000 distinct answers in an
+// unbounded result cache: the bytes ResultCache.Bytes counts per answer
+// must lie within 20% of the live heap each one adds. GreedyAdd keeps
+// the trajectory cache's sighting marks out of the heap growth, and the
+// 1-byte prep budget keeps a single instance. Not parallel: the heap is
+// the process's.
+func TestAnswerSizeTracksHeap(t *testing.T) {
+	ds, err := Synthetic(300, 3, Anticorrelated, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := UniformLinear(ds.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(EngineConfig{PrepCacheBytes: 1, ResultCacheBytes: -1})
+	defer e.Close()
+	if err := e.Register("ac", ds, dist); err != nil {
+		t.Fatal(err)
+	}
+	selectSeeds := func(from, to uint64) {
+		for s := from; s < to; s++ {
+			q := Query{Dataset: "ac", K: 10, Seed: s, SampleSize: 20, Algorithm: GreedyAdd}
+			if _, _, err := e.Select(context.Background(), q, Exec{Parallelism: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveHeap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	const answers = 1000
+	selectSeeds(0, 50)
+	heap0, bytes0 := liveHeap(), e.Stats().ResultCache.Bytes
+	selectSeeds(50, 50+answers)
+	heap1, bytes1 := liveHeap(), e.Stats().ResultCache.Bytes
+	heap, counted := float64(heap1-heap0)/answers, float64(bytes1-bytes0)/answers
+	t.Logf("per answer: %.0f bytes of live heap, %.0f counted", heap, counted)
+	if counted < 0.8*heap || counted > 1.2*heap {
+		t.Fatalf("answerSize counts %.0f bytes per answer against %.0f of live heap: off by more than 20%%", counted, heap)
 	}
 }

@@ -282,8 +282,17 @@ func trajectoryBytes(t *testing.T, e *Engine, q Query) int64 {
 	return trajectorySize(tr)
 }
 
-// preparedFor builds (or reads from e's prep cache) q's prepared state.
+// preparedFor builds (or reads from e's prep cache) q's prepared state,
+// held until the test ends.
 func preparedFor(t *testing.T, e *Engine, q Query) *prepared {
+	t.Helper()
+	prep := prepareHeld(t, e, q)
+	t.Cleanup(prep.done)
+	return prep
+}
+
+// prepareHeld is preparedFor leaving the hold for the caller to drop.
+func prepareHeld(t *testing.T, e *Engine, q Query) *prepared {
 	t.Helper()
 	reg, err := e.resolve(q)
 	if err != nil {

@@ -85,6 +85,10 @@ type Options struct {
 	// Preprocessing dispatches at the zero scheduling attrs (normal
 	// class, no deadline): it takes no context.
 	Pool *par.Pool
+	// Slot is where the materialized matrix's backing array comes from
+	// and where Release hands it back (kernel.Slot). Nil uses the
+	// package's exact-length slot of one-shot calls.
+	Slot *kernel.Slot
 }
 
 // DefaultCacheBudget caps the utility cache at 32M entries (256 MB).
@@ -145,7 +149,7 @@ func NewInstance(points [][]float64, funcs []utility.Func, opts Options) (*Insta
 	}
 	n, N := len(points), len(funcs)
 	if budget > 0 && int64(n)*int64(N) <= budget {
-		in.mat = kernel.New(N, n, opts.Float32)
+		in.mat = opts.Slot.New(N, n, opts.Float32)
 		in.cacheUsed = true
 	}
 	in.f32 = opts.Float32
@@ -293,11 +297,12 @@ func (in *Instance) Transposed() *kernel.Transposed {
 }
 
 // Release hands the materialized utility matrix, if it holds at most
-// 16 MiB, to the next instance built with a matrix of the same length
-// and storage mode (kernel.Matrix.Release), which then skips allocating
-// and zeroing it. Only the instance's sole owner may call it, after
-// every computation on the instance has returned; the instance must not
-// be used afterwards. It does nothing for an uncached instance.
+// 16 MiB, to the next instance built from the same slot (Options.Slot)
+// with a matrix it fits, in the same storage mode
+// (kernel.Matrix.Release), which then skips allocating and zeroing it.
+// Only the instance's last holder may call it, after every computation
+// on the instance and its WithExecution clones has returned; none of
+// them may be used afterwards. It does nothing for an uncached instance.
 func (in *Instance) Release() {
 	if in.cacheUsed {
 		in.mat.Release()

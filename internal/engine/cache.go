@@ -93,6 +93,7 @@ type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	size     func(val any) int64
+	dropped  func(val any) // nil, or told of each value no longer held
 	bytes    int64
 	ll       *list.List               // front = most recently used
 	entries  map[string]*list.Element // value: *entry
@@ -113,14 +114,18 @@ type entry struct {
 // NewCache returns a cache that evicts its least recently used values
 // while their summed size exceeds maxBytes (0 or negative = unbounded).
 // size reports the resident bytes of a value; nil counts every value as
-// 0 bytes, so nothing is evicted.
-func NewCache(maxBytes int64, size func(val any) int64) *Cache {
+// 0 bytes, so nothing is evicted. dropped, when not nil, is called once
+// with each value the cache stops holding, evicted or replaced under
+// its key, after the cache's lock is released and before the fill that
+// dropped it returns to its callers.
+func NewCache(maxBytes int64, size func(val any) int64, dropped func(val any)) *Cache {
 	if maxBytes < 0 {
 		maxBytes = 0 // unbounded
 	}
 	return &Cache{
 		maxBytes: maxBytes,
 		size:     size,
+		dropped:  dropped,
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]*call),
@@ -245,14 +250,20 @@ func (c *Cache) begin(key string) *call {
 // releases the waiters.
 func (c *Cache) finish(ctx context.Context, key string, cl *call, fill func(ctx context.Context) (any, error)) {
 	cl.val, cl.err = runFill(ctx, fill)
+	var gone []any
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if cl.err != nil {
 		c.stats.Errors++
 	} else {
-		c.store(key, cl.val)
+		gone = c.store(key, cl.val)
 	}
 	c.mu.Unlock()
+	if c.dropped != nil {
+		for _, v := range gone {
+			c.dropped(v)
+		}
+	}
 	close(cl.done)
 }
 
@@ -273,8 +284,9 @@ func runFill(ctx context.Context, fill func(ctx context.Context) (any, error)) (
 
 // store inserts a value under the lock, clearing its key's sighting
 // mark, and evicts the least recently used entries beyond the byte
-// budget. The newest entry is always kept, however large.
-func (c *Cache) store(key string, val any) {
+// budget. The newest entry is always kept, however large. It returns
+// the values it no longer holds: the one val replaced and the evicted.
+func (c *Cache) store(key string, val any) (gone []any) {
 	if el, ok := c.seenKeys[key]; ok {
 		c.seen.Remove(el)
 		delete(c.seenKeys, key)
@@ -285,6 +297,7 @@ func (c *Cache) store(key string, val any) {
 	}
 	if el, ok := c.entries[key]; ok {
 		en := el.Value.(*entry)
+		gone = append(gone, en.val)
 		c.bytes += size - en.size
 		en.val, en.size = val, size
 		c.ll.MoveToFront(el)
@@ -297,7 +310,9 @@ func (c *Cache) store(key string, val any) {
 		delete(c.entries, en.key)
 		c.bytes -= en.size
 		c.stats.Evictions++
+		gone = append(gone, en.val)
 	}
+	return gone
 }
 
 // Get returns the cached value without filling, sighting or disturbing

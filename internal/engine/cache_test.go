@@ -15,7 +15,7 @@ import (
 func unit(any) int64 { return 1 }
 
 func TestCacheHitMissLRU(t *testing.T) {
-	c := NewCache(2, unit)
+	c := NewCache(2, unit, nil)
 	ctx := context.Background()
 	fill := func(v string) func(context.Context) (any, error) {
 		return func(context.Context) (any, error) { return v, nil }
@@ -57,7 +57,7 @@ func TestCacheHitMissLRU(t *testing.T) {
 // fill blocks until all callers have arrived, so the coalesced count is
 // deterministic.
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache(0, nil)
+	c := NewCache(0, nil, nil)
 	const callers = 8
 	var fills atomic.Int64
 	arrived := make(chan struct{})
@@ -106,7 +106,7 @@ func TestCacheSingleflight(t *testing.T) {
 // TestCacheErrorNotStored: a failed fill must not poison the cache; the
 // next Do retries.
 func TestCacheErrorNotStored(t *testing.T) {
-	c := NewCache(0, nil)
+	c := NewCache(0, nil, nil)
 	ctx := context.Background()
 	boom := errors.New("boom")
 	if _, _, err := c.Do(ctx, "k", func(context.Context) (any, error) { return nil, boom }); !errors.Is(err, boom) {
@@ -127,7 +127,7 @@ func TestCacheErrorNotStored(t *testing.T) {
 // ErrFillPanic (and the panic value, when it is an error), nothing is
 // stored, and the next Do on the key refills and stores.
 func TestCacheFillPanicContained(t *testing.T) {
-	c := NewCache(0, nil)
+	c := NewCache(0, nil, nil)
 	ctx := context.Background()
 	boom := errors.New("boom")
 	const callers = 3
@@ -180,7 +180,7 @@ func TestCacheFillPanicContained(t *testing.T) {
 // gets its context error, but the detached fill still completes and is
 // stored for the next arrival.
 func TestCacheCanceledWaiterFillSurvives(t *testing.T) {
-	c := NewCache(0, nil)
+	c := NewCache(0, nil, nil)
 	release := make(chan struct{})
 	ctx, cancel := context.WithCancel(context.Background())
 
@@ -221,7 +221,7 @@ func TestCacheCanceledWaiterFillSurvives(t *testing.T) {
 // TestCacheConcurrentDistinctKeys: hammer the cache with overlapping keys
 // under -race.
 func TestCacheConcurrentDistinctKeys(t *testing.T) {
-	c := NewCache(16, unit)
+	c := NewCache(16, unit, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -250,7 +250,7 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 // a single oversized entry is kept (dropping it would refill forever)
 // while everything else yields.
 func TestCacheByteBudget(t *testing.T) {
-	c := NewCache(100, func(v any) int64 { return v.(int64) })
+	c := NewCache(100, func(v any) int64 { return v.(int64) }, nil)
 	ctx := context.Background()
 	put := func(key string, size int64) {
 		t.Helper()
@@ -285,7 +285,7 @@ func TestCacheByteBudget(t *testing.T) {
 // TestDoAdmittedDoorkeeper: a key's first sighting marks it and fills
 // nothing; the second fills and stores; the third hits.
 func TestDoAdmittedDoorkeeper(t *testing.T) {
-	c := NewCache(100, func(v any) int64 { return int64(len(v.(string))) })
+	c := NewCache(100, func(v any) int64 { return int64(len(v.(string))) }, nil)
 	ctx := context.Background()
 	var fills int
 	fill := func(context.Context) (any, error) { fills++; return "value", nil }
@@ -326,7 +326,7 @@ func TestDoAdmittedDoorkeeper(t *testing.T) {
 // leave a stored value in place, and the oldest mark is the one
 // forgotten.
 func TestDoAdmittedMarksNeverEvictValues(t *testing.T) {
-	c := NewCache(0, nil)
+	c := NewCache(0, nil, nil)
 	ctx := context.Background()
 	fill := func(context.Context) (any, error) { return "value", nil }
 	for range 2 {
@@ -358,7 +358,7 @@ func TestDoAdmittedMarksNeverEvictValues(t *testing.T) {
 // context; a canceled fill stores nothing and keeps the mark, so the
 // next lookup fills again.
 func TestDoAdmittedCanceledFill(t *testing.T) {
-	c := NewCache(0, nil)
+	c := NewCache(0, nil, nil)
 	bg := context.Background()
 	if _, _, _, err := c.DoAdmitted(bg, "k", nil); err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestDoAdmittedCanceledFill(t *testing.T) {
 // TestDoAdmittedCoalesces: arrivals during an admitted fill wait for it
 // instead of filling again.
 func TestDoAdmittedCoalesces(t *testing.T) {
-	c := NewCache(0, nil)
+	c := NewCache(0, nil, nil)
 	ctx := context.Background()
 	if _, _, _, err := c.DoAdmitted(ctx, "k", nil); err != nil {
 		t.Fatal(err)
@@ -425,5 +425,50 @@ func TestDoAdmittedCoalesces(t *testing.T) {
 		if r != "v" {
 			t.Fatalf("caller %d got %v", i, r)
 		}
+	}
+}
+
+// TestCacheDroppedReportsEachValue: the dropped callback hears of each
+// evicted value once, in eviction order, before the Do that evicted it
+// returns, and runs with the cache's lock released, so it may call back
+// in. store also hands finish, which calls it, a value it replaced under
+// its key.
+func TestCacheDroppedReportsEachValue(t *testing.T) {
+	var c *Cache
+	var gone []any
+	c = NewCache(2, unit, func(v any) {
+		c.Stats() // would deadlock under c.mu
+		gone = append(gone, v)
+	})
+	ctx := context.Background()
+	put := func(key string) {
+		t.Helper()
+		if _, _, err := c.Do(ctx, key, func(context.Context) (any, error) { return key, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("a")
+	put("b")
+	if len(gone) != 0 {
+		t.Fatalf("dropped %v within the budget", gone)
+	}
+	put("c")
+	if fmt.Sprint(gone) != "[a]" {
+		t.Fatalf("dropped %v after the third value, want [a]", gone)
+	}
+	if _, _, err := c.Do(ctx, "fails", func(context.Context) (any, error) { return nil, errors.New("boom") }); err == nil {
+		t.Fatal("a failed fill returned no error")
+	}
+	c.Get("b") // c is now the LRU value
+	put("d")
+	if fmt.Sprint(gone) != "[a c]" {
+		t.Fatalf("dropped %v, want [a c]: a failed fill drops nothing", gone)
+	}
+
+	c.mu.Lock()
+	replaced := c.store("d", "d2")
+	c.mu.Unlock()
+	if fmt.Sprint(replaced) != "[d]" {
+		t.Fatalf("store over a held key returned %v, want the replaced [d]", replaced)
 	}
 }

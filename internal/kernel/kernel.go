@@ -28,15 +28,21 @@
 // modes do they differ.
 //
 // Slab reuse contract: Release hands a matrix's backing array of at
-// most spareMaxBytes (16 MiB) to the package, which keeps at most one
-// released array per storage mode (a later Release replaces the held
-// one; a larger array is left to the garbage collector). New empties
-// the slot of its mode and takes the held array only when its length is
-// exactly users×points, so FootprintBytes stays exact; otherwise it
-// drops it and allocates. A reused array is not zeroed: New hands out
-// whatever the released matrix held, so every caller must store each
-// entry (FillRow does) before any entry is read. After Release the
-// matrix must not be used, and no goroutine may still read it.
+// most spareMaxBytes (16 MiB) back to the Slot its New took from, which
+// keeps at most one released array per storage mode (a later Release
+// replaces the held one; a larger array is left to the garbage
+// collector). New empties the slot of its mode and takes the held array
+// only when it fits; otherwise it drops it and allocates. The package's
+// own slot, which New uses, fits only an array of exactly users×points;
+// a slot from NewSlot, which an Engine owns, fits any capacity from
+// users×points to users×points·17/16, since sizes that vary by a few
+// percent would almost never match exactly. A matrix keeps the whole
+// array it took, and FootprintBytes counts its capacity, so a byte
+// budget that sums footprints stays exact. A reused array is not
+// zeroed: New hands out whatever the released matrix held, so every
+// caller must store each entry (FillRow does) before any entry is read.
+// After Release the matrix must not be used, and no goroutine may still
+// read it.
 package kernel
 
 import "sync"
@@ -53,66 +59,89 @@ type Matrix struct {
 	points int
 	f64    []float64
 	f32    []float32
+	slot   *Slot // where Release hands the backing array
 }
 
-// spareMaxBytes bounds the backing array Release keeps: at most one
-// per storage mode, so a process holds at most 2·spareMaxBytes of
-// released arrays. 16 MiB covers a 691-user matrix over ~3 000 points
-// in float64.
+// spareMaxBytes bounds the backing array a Slot keeps: at most one per
+// storage mode, so a slot holds at most 2·spareMaxBytes of released
+// arrays. 16 MiB covers a 691-user matrix over ~3 000 points in
+// float64.
 const spareMaxBytes = 16 << 20
 
-// spare holds the last released backing array of each storage mode. It
+// Slot holds the last released backing array of each storage mode. It
 // is a single strong slot rather than a sync.Pool: a pooled array parked
 // in one P's private cache cannot serve a New on another P, so two
 // arrays of the largest matrix would stay live.
-var spare struct {
-	mu  sync.Mutex
-	f64 []float64
-	f32 []float32
+type Slot struct {
+	mu    sync.Mutex
+	loose bool // take fits a capacity up to 1/16 over the request
+	f64   []float64
+	f32   []float32
 }
+
+// spare is the package's exact-length slot, the one New takes from.
+var spare Slot
+
+// NewSlot returns an empty slot whose New reuses a held array of
+// capacity users×points up to users×points·17/16.
+func NewSlot() *Slot { return &Slot{loose: true} }
 
 // New returns a users×points matrix. float32Mode selects the halved
 // storage representation. Its entries are unspecified (see the package
 // doc): the caller fills every row before reading any.
 func New(users, points int, float32Mode bool) *Matrix {
-	m := &Matrix{users: users, points: points}
+	return spare.New(users, points, float32Mode)
+}
+
+// New is the package New taking from s, and its matrix's Release hands
+// the array back to s. A nil s is the package's slot.
+func (s *Slot) New(users, points int, float32Mode bool) *Matrix {
+	if s == nil {
+		s = &spare
+	}
+	m := &Matrix{users: users, points: points, slot: s}
 	if float32Mode {
-		m.f32 = take(&spare.f32, users*points)
+		m.f32 = take(s, &s.f32, users*points)
 	} else {
-		m.f64 = take(&spare.f64, users*points)
+		m.f64 = take(s, &s.f64, users*points)
 	}
 	return m
 }
 
-// take empties *slot and returns its array when the length is exactly
-// size. Otherwise it allocates, and the emptied slot leaves the held
-// array to the garbage collector before the new one is made.
-func take[T float32 | float64](slot *[]T, size int) []T {
-	spare.mu.Lock()
-	s := *slot
-	*slot = nil
-	spare.mu.Unlock()
-	if s == nil || len(s) != size {
-		s = make([]T, size)
+// take empties s's array of one storage mode, *held, and returns it,
+// cut to size, when its capacity fits size. Otherwise it allocates, and
+// the emptied slot leaves the held array to the garbage collector
+// before the new one is made.
+func take[T float32 | float64](s *Slot, held *[]T, size int) []T {
+	s.mu.Lock()
+	a := *held
+	*held = nil
+	s.mu.Unlock()
+	fits := cap(a) == size
+	if s.loose {
+		fits = cap(a) >= size && cap(a)*16 <= size*17
 	}
-	return s
+	if a == nil || !fits {
+		return make([]T, size)
+	}
+	return a[:size]
 }
 
-// Release hands m's backing array to the next New of the same storage
-// mode and size, replacing any array released before, when it holds at
-// most spareMaxBytes. Only m's sole owner may call it, once no goroutine
+// Release hands m's backing array to the next New of its slot,
+// replacing any array released before, when it holds at most
+// spareMaxBytes. Only m's sole owner may call it, once no goroutine
 // reads m any longer; m must not be used afterwards (reading an entry
 // panics).
 func (m *Matrix) Release() {
-	f32, f64 := m.f32, m.f64
+	f32, f64, s := m.f32, m.f64, m.slot
 	m.f32, m.f64 = nil, nil
-	spare.mu.Lock()
-	defer spare.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch {
-	case len(f32) > 0 && len(f32)*4 <= spareMaxBytes:
-		spare.f32 = f32
-	case len(f64) > 0 && len(f64)*8 <= spareMaxBytes:
-		spare.f64 = f64
+	case cap(f32) > 0 && cap(f32)*4 <= spareMaxBytes:
+		s.f32 = f32
+	case cap(f64) > 0 && cap(f64)*8 <= spareMaxBytes:
+		s.f64 = f64
 	}
 }
 
@@ -134,14 +163,14 @@ func (m *Matrix) At(u, p int) float64 {
 	return m.f64[u*m.points+p]
 }
 
-// FootprintBytes returns the exact resident bytes of the backing array
-// plus its slice header.
+// FootprintBytes returns the exact resident bytes of the backing array,
+// its whole capacity, plus its slice header.
 func (m *Matrix) FootprintBytes() int64 {
 	const sliceHeader = 24
 	if m.f32 != nil {
-		return sliceHeader + int64(len(m.f32))*4
+		return sliceHeader + int64(cap(m.f32))*4
 	}
-	return sliceHeader + int64(len(m.f64))*8
+	return sliceHeader + int64(cap(m.f64))*8
 }
 
 // RowTwoMax scans row u over the listed columns (visited in order) and

@@ -252,3 +252,52 @@ func TestReleaseReuse(t *testing.T) {
 		New(2, width/2, f32) // empty the slot
 	}
 }
+
+// TestLooseSlotReleaseReuse pins an Engine slot's contract: a New takes
+// the held array when its capacity is users×points up to 1/16 over, the
+// matrix keeps that capacity and FootprintBytes counts it, a New outside
+// the window drops the array, and the slot is apart from the package's.
+func TestLooseSlotReleaseReuse(t *testing.T) {
+	for _, f32 := range []bool{false, true} {
+		elem := int64(8)
+		if f32 {
+			elem = 4
+		}
+		s := NewSlot()
+		first := func(m *Matrix) any {
+			if f32 {
+				return &m.f32[:1][0]
+			}
+			return &m.f64[:1][0]
+		}
+		a := s.New(10, 160, f32) // capacity 1600
+		arr := first(a)
+		a.Release()
+		if c := New(10, 160, f32); first(c) == arr {
+			t.Fatalf("f32=%v: the package New took an Engine slot's array", f32)
+		}
+		b := s.New(10, 151, f32) // 1600·16 ≤ 1510·17
+		if first(b) != arr {
+			t.Fatalf("f32=%v: a New 1/16 under the held capacity did not take it", f32)
+		}
+		if got, want := b.FootprintBytes(), 24+1600*elem; got != want {
+			t.Fatalf("f32=%v: footprint %d, want the whole capacity's %d", f32, got, want)
+		}
+		if b.Users() != 10 || b.Points() != 151 {
+			t.Fatalf("f32=%v: reused matrix is %d×%d", f32, b.Users(), b.Points())
+		}
+		b.Release()
+		if c := s.New(10, 161, f32); first(c) == arr {
+			t.Fatalf("f32=%v: a New over the held capacity took it", f32)
+		}
+		c := s.New(10, 160, f32)
+		if first(c) == arr {
+			t.Fatalf("f32=%v: a New that missed kept the array in the slot", f32)
+		}
+		arr = first(c)
+		c.Release()
+		if d := s.New(10, 150, f32); first(d) == arr { // 1600·16 > 1500·17
+			t.Fatalf("f32=%v: a New more than 1/16 under the held capacity took it", f32)
+		}
+	}
+}

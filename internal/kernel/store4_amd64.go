@@ -43,9 +43,9 @@ func store4AVX(dst, acc, x0, x1, x2, x3 []float64, w0, w1, w2, w3 float64) (top 
 // survives depends on the operand order the compiler picks for store4).
 // So is the (best, arg) it returns, with the same allowance for a block
 // holding a NaN, whose key is at or above +Inf's either way: on a valid
-// block it comes from the lane maxima and a search of the lanes that
-// hold the largest; on a block with an invalid value, from a rescan of
-// the stored values.
+// block it comes from the lane maxima and a vector search for the
+// first entry equal to the largest; on a block with an invalid value,
+// from a rescan of the stored values.
 func store4Vector(dst, acc, x0, x1, x2, x3 []float64, w0, w1, w2, w3 float64) (best uint64, arg int) {
 	m := len(acc)
 	n := m &^ 3
@@ -56,20 +56,10 @@ func store4Vector(dst, acc, x0, x1, x2, x3 []float64, w0, w1, w2, w3 float64) (b
 	case bad:
 		best, arg = maxKey(dst[:n])
 	case top > 0: // a zero maximum (either sign) leaves best = 0, arg = 0
-		// The first point holding top sits in a lane whose maximum it is;
-		// each such lane is searched up to the earliest hit so far.
-		best, arg = math.Float64bits(top), n
-		for l, v := range lanes {
-			if v != top {
-				continue
-			}
-			for j := l; j < arg; j += 4 {
-				if dst[j] == top {
-					arg = j
-					break
-				}
-			}
-		}
+		// Every point holding top sits in a lane whose maximum it is, and
+		// top > 0 is no zero of either sign, so the first entry equal to
+		// top is the first point the scalar loop ranks highest.
+		best, arg = math.Float64bits(top), firstEqVector(dst[:n], top)
 	}
 	if n < m {
 		if k, a := store4(dst[n:], acc[n:], x0[n:], x1[n:], x2[n:], x3[n:], w0, w1, w2, w3); k > best {

@@ -30,6 +30,20 @@ type prepared struct {
 	// it, or −1 when the prepass was off.
 	skylineSize int
 	coresetSize int
+	// hold counts the holders of an Engine-built instance; nil for a
+	// one-shot build, which its call holds alone.
+	hold *hold
+}
+
+// done ends a request's reads of the instance, after its last one: a
+// one-shot build is released at once, and an Engine-built instance
+// loses the request's hold.
+func (p *prepared) done() {
+	if p.hold == nil {
+		p.in.Release()
+		return
+	}
+	p.hold.drop()
 }
 
 // artifactSource supplies the artifacts prepare asks for: a callMemo for
@@ -268,6 +282,7 @@ func assemble(ctx context.Context, ds *Dataset, candidates []int, funcs []Utilit
 		Float32:     q.Float32,
 		Parallelism: exec.Parallelism,
 		Pool:        exec.pool,
+		Slot:        exec.slot,
 	})
 	var ue *core.UtilityError
 	if errors.As(err, &ue) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/regretlab/fam/internal/kernel"
 	"github.com/regretlab/fam/internal/par"
 	"github.com/regretlab/fam/internal/sched"
 )
@@ -131,6 +132,10 @@ type Exec struct {
 	// every helper grant of this query's fan-outs attributes its
 	// enqueue-to-grant latency back to the query's Telemetry.QueueWait.
 	wait *sched.WaitCounter
+	// slot is where an Engine's instance builds take their utility-matrix
+	// arrays from and release them to; nil, the one-shot slot of package
+	// kernel, for one-shot calls.
+	slot *kernel.Slot
 }
 
 // Priority is a query's scheduling class. Classes order queued helper

@@ -65,10 +65,10 @@ var ErrInvalidSet = core.ErrInvalidSet
 // per storage mode (float64, float32), the last one released and only
 // if it holds at most 16 MiB, so at most 32 MiB stay pinned between
 // calls. A matrix of exactly the slab's size reuses it; a matrix of any
-// other size drops it and allocates. An Engine never recycles its
-// instances: a cached or just-evicted instance may still be read by a
-// request in flight, and its fresh-seed instances rarely match a
-// spare's size exactly.
+// other size drops it and allocates. An Engine recycles through a slot
+// of its own (see EngineConfig.PrepCacheBytes), never this one: an
+// instance it evicts hands its matrix to the Engine's next build once
+// no request still reads it.
 func Select(ctx context.Context, q Query, exec Exec) (*Result, *Telemetry, error) {
 	if q.ExplicitSet != nil {
 		return nil, nil, fmt.Errorf("%w: ExplicitSet makes this an evaluation query; call Evaluate", ErrBadOptions)
@@ -96,7 +96,7 @@ func Select(ctx context.Context, q Query, exec Exec) (*Result, *Telemetry, error
 	res, tel, err := solve(ctx, q.Data, q.Dist, prep, q, exec, nil)
 	// The instance is this call's alone and every fan-out of solve has
 	// joined, so its matrix slab can go to the next one-shot call.
-	prep.in.Release()
+	prep.done()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -109,8 +109,8 @@ func Select(ctx context.Context, q Query, exec Exec) (*Result, *Telemetry, error
 // Evaluate measures the Metrics of q.ExplicitSet (dataset row indices)
 // under q.Dist with the query's sampling parameters. Like Select, it
 // leaves its utility-matrix slab for the next one-shot call of the same
-// matrix size (see Select's memory note; Engine instances are never
-// recycled).
+// matrix size (see Select's memory note; an Engine recycles through its
+// own slot).
 func Evaluate(ctx context.Context, q Query, exec Exec) (Metrics, error) {
 	norm, err := normalizeQuery(q.Data, q.Dist, q, false)
 	if err != nil {
@@ -133,7 +133,7 @@ func Evaluate(ctx context.Context, q Query, exec Exec) (Metrics, error) {
 		return Metrics{}, err
 	}
 	m, err := prep.in.Evaluate(q.ExplicitSet, nil)
-	prep.in.Release()
+	prep.done()
 	return m, err
 }
 
